@@ -136,12 +136,11 @@ def test_loadgen_throughput_recorded(benchmark):
     """Closed-loop loadgen on the bench profile; ledger-recorded."""
     scale = os.environ.get("REPRO_BENCH_SCALE", "small")
     graph, engine, index = _stack(scale)
-    service = PathQueryService(LabelRepairer(engine, index), max_batch=64)
+    service = PathQueryService(LabelRepairer(engine, index))
     queries = 1000
 
     report, _ = timed_once(
-        benchmark, run_loadgen, service, index, queries,
-        seed=1, concurrency=8,
+        benchmark, run_loadgen, service, index, queries, seed=1
     )
     print(
         f"\nloadgen @ {scale}: {report.throughput_qps:.0f} q/s "
@@ -151,7 +150,7 @@ def test_loadgen_throughput_recorded(benchmark):
     assert report.errors == 0
     assert report.queries == queries
     # Digest determinism at benchmark scale: a rerun answers identically.
-    rerun = run_loadgen(service, index, queries, seed=1, concurrency=8)
+    rerun = run_loadgen(service, index, queries, seed=1)
     assert rerun.answers_digest == report.answers_digest
 
     ledger = _session_ledger()
@@ -170,7 +169,7 @@ def test_loadgen_throughput_recorded(benchmark):
             seed=1,
             git_rev=git_revision(),
             graph_digest=graph.digest(),
-            params={"queries": queries, "concurrency": 8, "index": "hub2"},
+            params={"queries": queries, "index": "hub2"},
             counters={
                 "serving.loadgen.reachable": report.reachable,
                 "serving.index.label_entries": index.label_entries(),

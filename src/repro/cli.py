@@ -772,8 +772,7 @@ def _serving_stack(args: argparse.Namespace):
     index = build_index(engine, family=args.index, cache=cache)
     repairer = LabelRepairer(engine, index)
     service = PathQueryService(
-        repairer, max_batch=args.max_batch, max_delay=args.max_delay,
-        slo_monitor=_slo_monitor_from_args(args),
+        repairer, slo_monitor=_slo_monitor_from_args(args)
     )
     return graph, brokers, index, service
 
@@ -803,10 +802,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             pass
         return 0
     with Timer() as timer:
-        report = run_loadgen(
-            service, index, args.queries,
-            seed=args.seed, concurrency=args.concurrency,
-        )
+        report = run_loadgen(service, index, args.queries, seed=args.seed)
     print(
         f"loadgen: {report.queries} queries, {report.reachable} reachable, "
         f"{report.errors} error(s), {report.throughput_qps:.0f} q/s, "
@@ -867,8 +863,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             git_rev=git_revision(),
             graph_digest=graph.digest(),
             params={"index": args.index, "budget": len(brokers),
-                    "queries": args.queries,
-                    "concurrency": args.concurrency},
+                    "queries": args.queries},
             counters={
                 "serving.index.label_entries": index.label_entries(),
                 "serving.loadgen.reachable": report.reachable,
@@ -895,7 +890,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     "slos": [v.to_dict() for v in slo_verdicts],
                     "window": service.slo.window.snapshot(),
                     "queries": args.queries,
-                    "concurrency": args.concurrency,
                 },
                 counters={
                     "slo.breaches": breaches,
@@ -1113,10 +1107,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="broker-set size (default: 1.9%% of nodes)")
         p.add_argument("--index", choices=index_names(), default="hub2",
                        help="serving index family (registry-resolved)")
-        p.add_argument("--max-batch", type=int, default=256,
-                       help="flush a batch at this many pending queries")
-        p.add_argument("--max-delay", type=float, default=0.002,
-                       help="max seconds a query waits for its batch")
         p.add_argument("--cache-dir", default=None,
                        help="content-addressed cache for index payloads")
         p.add_argument("--slo", action="append", default=None, metavar="SPEC",
@@ -1134,8 +1124,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_serving_flags(p)
     p.add_argument("--queries", type=int, default=1000,
                    help="closed-loop loadgen query count (default 1000)")
-    p.add_argument("--concurrency", type=int, default=8,
-                   help="loadgen workers, one request in flight each")
     p.add_argument("--port", type=int, default=None,
                    help="serve JSON-lines queries on this TCP port "
                         "instead of running the load generator")

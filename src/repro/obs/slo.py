@@ -20,9 +20,9 @@ right now?".  This module provides it with two pieces:
   (Google SRE workbook) restricted to a single window, which is all a
   single-process server needs.
 
-Everything is stdlib, lock-guarded (the asyncio serving loop and TCP
-admin channel share one monitor), and clock-injectable so tests can
-drive eviction deterministically.  ``repro serve`` exposes snapshots on
+Everything is lock-guarded (the asyncio serving loop and TCP admin
+channel share one monitor) and clock-injectable so tests can drive
+eviction deterministically.  ``repro serve`` exposes snapshots on
 the admin channel (``/health``, ``/metrics``, ``/slo``) and records the
 final verdicts to the ledger as a ``slo``-kind record, which
 ``repro report --check`` gates on (any breach ⇒ regression).
@@ -33,9 +33,10 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
+
+import numpy as np
 
 #: Hard cap on retained samples per window regardless of request rate.
 DEFAULT_WINDOW_CAPACITY = 65536
@@ -126,7 +127,8 @@ class SlidingWindow:
     ``horizon_s``.  ``capacity`` bounds memory under any request rate —
     when full, the oldest entry drops (the window effectively narrows,
     which for SLO purposes is the conservative direction: recent
-    behaviour dominates).
+    behaviour dominates).  The samples live in three preallocated
+    arrays used as one ring, 17 bytes per sample.
     """
 
     def __init__(
@@ -143,23 +145,38 @@ class SlidingWindow:
         self.horizon_s = float(horizon_s)
         self.capacity = int(capacity)
         self._clock = clock
-        self._samples: deque[tuple[float, float, bool]] = deque(maxlen=capacity)
+        self._when = np.empty(self.capacity)
+        self._latency = np.empty(self.capacity)
+        self._ok = np.empty(self.capacity, dtype=bool)
+        #: Samples ever observed, and the sequence number of the oldest
+        #: live one; sample ``i`` sits in slot ``i % capacity``.
+        self._end = 0
+        self._start = 0
         self._lock = threading.Lock()
 
     def observe(self, latency_s: float, *, ok: bool = True) -> None:
         with self._lock:
-            self._samples.append((self._clock(), float(latency_s), bool(ok)))
+            slot = self._end % self.capacity
+            self._when[slot] = self._clock()
+            self._latency[slot] = latency_s
+            self._ok[slot] = ok
+            self._end += 1
+            if self._end - self._start > self.capacity:
+                self._start += 1
 
-    def _evict(self) -> None:
-        cutoff = self._clock() - self.horizon_s
-        samples = self._samples
-        while samples and samples[0][0] < cutoff:
-            samples.popleft()
+    def _live(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Evict by age; copies of the live samples, oldest first."""
+        with self._lock:
+            slots = np.arange(self._start, self._end) % self.capacity
+            when = self._when[slots]
+            fresh = when >= self._clock() - self.horizon_s
+            evicted = int(np.argmax(fresh)) if fresh.any() else len(slots)
+            self._start += evicted
+            slots = slots[evicted:]
+            return when[evicted:], self._latency[slots], self._ok[slots]
 
     def __len__(self) -> int:
-        with self._lock:
-            self._evict()
-            return len(self._samples)
+        return len(self._live()[0])
 
     def snapshot(self) -> dict:
         """Rolling stats over the live window (JSON-safe).
@@ -168,11 +185,10 @@ class SlidingWindow:
         ``throughput_qps`` divides by the observed span (clamped to at
         least one horizon's worth only when the window is saturated).
         """
-        with self._lock:
-            self._evict()
-            samples = list(self._samples)
+        when, latency, ok = self._live()
         now = self._clock()
-        if not samples:
+        count = len(when)
+        if not count:
             return {
                 "window_s": self.horizon_s,
                 "count": 0,
@@ -184,31 +200,30 @@ class SlidingWindow:
                 "p99": 0.0,
                 "max": 0.0,
             }
-        latencies = sorted(s[1] for s in samples)
-        errors = sum(1 for s in samples if not s[2])
-        span = max(now - samples[0][0], 1e-9)
+        latencies = np.sort(latency)
+        errors = count - int(np.count_nonzero(ok))
+        span = max(now - float(when[0]), 1e-9)
 
         def rank(q: float) -> float:
-            idx = math.ceil(q * len(latencies)) - 1
-            return latencies[min(len(latencies) - 1, max(0, idx))]
+            idx = math.ceil(q * count) - 1
+            return float(latencies[min(count - 1, max(0, idx))])
 
         return {
             "window_s": self.horizon_s,
-            "count": len(samples),
+            "count": count,
             "errors": errors,
-            "error_rate": errors / len(samples),
-            "throughput_qps": len(samples) / span,
+            "error_rate": errors / count,
+            "throughput_qps": count / span,
             "p50": rank(0.50),
             "p90": rank(0.90),
             "p99": rank(0.99),
-            "max": latencies[-1],
+            "max": float(latencies[-1]),
         }
 
-    def outcomes(self) -> list[tuple[float, float, bool]]:
-        """The live (evicted) window contents, oldest first."""
-        with self._lock:
-            self._evict()
-            return list(self._samples)
+    def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Latencies and ok flags of the live window, oldest first."""
+        _, latency, ok = self._live()
+        return latency, ok
 
 
 class SloMonitor:
@@ -245,16 +260,14 @@ class SloMonitor:
 
     def evaluate(self) -> list[SloVerdict]:
         """Judge every spec against the current window."""
-        outcomes = self.window.outcomes()
-        total = len(outcomes)
+        latency, ok = self.window.outcomes()
+        total = len(latency)
         verdicts = []
         for spec in self.specs:
             if spec.kind == "latency":
-                bad = sum(
-                    1 for _, lat, _ in outcomes if lat > spec.threshold
-                )
+                bad = int(np.count_nonzero(latency > spec.threshold))
             else:
-                bad = sum(1 for _, _, ok in outcomes if not ok)
+                bad = total - int(np.count_nonzero(ok))
             bad_fraction = bad / total if total else 0.0
             burn = bad_fraction / spec.error_budget
             verdicts.append(

@@ -46,7 +46,7 @@ class Timer:
     def __exit__(self, *exc_info: object) -> None:
         if self._start is not None:
             self.elapsed = time.perf_counter() - self._start
-            self._flush()
+            self._record()
 
     def start(self) -> None:
         """Begin (or restart) timing outside a ``with`` block."""
@@ -57,10 +57,10 @@ class Timer:
         if self._start is None:
             raise RuntimeError("Timer.stop() called before start()")
         self.elapsed = time.perf_counter() - self._start
-        self._flush()
+        self._record()
         return self.elapsed
 
-    def _flush(self) -> None:
+    def _record(self) -> None:
         if self.metric is not None:
             from repro.obs.metrics import observe
 

@@ -10,7 +10,7 @@ path?* — at query-serving latency, under churn:
   sorted-hub-merge queries);
 * :mod:`repro.serving.repair` — incremental label repair driven by
   :meth:`DominationEngine.subscribe` mutation deltas;
-* :mod:`repro.serving.service` — asyncio request batching, structured
+* :mod:`repro.serving.service` — inline request resolution, structured
   errors, latency histograms, JSON-lines TCP endpoint;
 * :mod:`repro.serving.loadgen` — seeded closed-loop load generation
   with a digest-pinned answer stream.

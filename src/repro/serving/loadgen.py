@@ -12,16 +12,13 @@ same index + same seed → the same query list, the same per-query
 answers, and the same ``answers_digest``.
 
 :func:`run_loadgen` drives a :class:`PathQueryService` *closed-loop*:
-``concurrency`` workers each keep exactly one request in flight,
-drawing the next query the moment the previous answer lands — the
-standard way to measure serving throughput without open-loop queueing
-artifacts.  The report's digest doubles as a regression oracle: ledger
-records carry it, and ``repro report --check`` refuses drift.
+one request at a time, the next query issued the moment the previous
+answer lands.  The report's digest doubles as a regression oracle:
+ledger records carry it, and ``repro report --check`` refuses drift.
 """
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
 import math
@@ -50,14 +47,12 @@ class LoadgenReport:
     """Outcome of one closed-loop run (JSON-safe via :meth:`as_dict`).
 
     ``latency_p50`` / ``latency_p99`` / ``latency_max`` are end-to-end
-    per-query seconds sampled at the submit call sites (what a client
-    experiences, queue wait included) — the inputs the serving SLO
-    checks run against.  The digest stays a pure function of the
+    per-query seconds sampled around each ``resolve`` call — the inputs
+    the serving SLO checks run against.  The digest stays a pure function of the
     answers, never of the timings.
     """
 
     queries: int
-    concurrency: int
     seed: int
     elapsed_seconds: float
     throughput_qps: float
@@ -71,7 +66,6 @@ class LoadgenReport:
     def as_dict(self) -> dict:
         return {
             "queries": self.queries,
-            "concurrency": self.concurrency,
             "seed": self.seed,
             "elapsed_seconds": self.elapsed_seconds,
             "throughput_qps": self.throughput_qps,
@@ -154,52 +148,31 @@ def answers_digest(responses) -> str:
     return hashlib.sha256(material.encode()).hexdigest()[:16]
 
 
-async def _closed_loop(
-    service: PathQueryService, queries: list[QueryRequest], concurrency: int
-) -> tuple[list, list[float]]:
-    responses: list = [None] * len(queries)
-    latencies: list[float] = [0.0] * len(queries)
-    cursor = 0
-
-    async def worker() -> None:
-        nonlocal cursor
-        while cursor < len(queries):
-            i = cursor
-            cursor += 1
-            t0 = time.perf_counter()
-            responses[i] = await service.submit(queries[i])
-            latencies[i] = time.perf_counter() - t0
-
-    await asyncio.gather(*(worker() for _ in range(concurrency)))
-    return responses, latencies
-
-
 def run_loadgen(
     service: PathQueryService,
     queries_or_index,
     count: int | None = None,
     *,
     seed: int = 0,
-    concurrency: int = 8,
 ) -> LoadgenReport:
     """Drive ``service`` closed-loop and summarize the run.
 
     Pass either a prepared query list or an index to generate ``count``
-    queries from (seeded).  ``concurrency`` workers each keep one
-    request in flight until the stream drains.
+    queries from (seeded).
     """
-    if concurrency < 1:
-        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     if isinstance(queries_or_index, HubLabelIndex):
         if count is None:
             raise ValueError("count is required when generating queries")
         queries = generate_queries(queries_or_index, count, seed=seed)
     else:
         queries = list(queries_or_index)
+    responses = []
+    latencies = []
     started = time.perf_counter()
-    responses, latencies = asyncio.run(
-        _closed_loop(service, queries, concurrency)
-    )
+    for query in queries:
+        t0 = time.perf_counter()
+        responses.append(service.resolve(query))
+        latencies.append(time.perf_counter() - t0)
     elapsed = time.perf_counter() - started
     ordered = sorted(latencies)
 
@@ -211,7 +184,6 @@ def run_loadgen(
 
     report = LoadgenReport(
         queries=len(queries),
-        concurrency=concurrency,
         seed=seed,
         elapsed_seconds=elapsed,
         throughput_qps=len(queries) / elapsed if elapsed > 0 else 0.0,

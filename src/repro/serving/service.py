@@ -1,33 +1,24 @@
-"""Asyncio batched front-end over the hub-label index.
+"""Asyncio front end over the hub-label index.
 
 :class:`PathQueryService` turns the microsecond-scale label lookups
-into an online query tier: callers ``await submit(...)`` and the
-service coalesces concurrent requests into batches (size- or
-delay-triggered), repairs the index once per batch
-(:meth:`LabelRepairer.sync`), answers every request in arrival order,
-and flushes per-batch latency histograms into the process-wide metrics
-registry:
+into an online query tier.  Every request is answered inline by
+:meth:`PathQueryService.resolve`: it syncs the index
+(:meth:`LabelRepairer.sync`, a no-op unless the engine mutated), looks
+the pair up, and records latency in the process-wide metrics registry:
 
-* ``serving.query.seconds`` — per-query resolve latency;
-* ``serving.request.seconds`` — end-to-end (enqueue → respond) latency;
-* ``serving.batch.seconds`` / ``serving.batch.size`` — per-batch;
-* gauge ``serving.queue.depth`` — pending requests after each enqueue;
-* counters ``serving.queries`` / ``serving.batches`` /
-  ``serving.errors``.
+* ``serving.query.seconds`` — per-query lookup latency;
+* ``serving.request.seconds`` — end-to-end (arrival → respond) latency;
+* counters ``serving.queries`` / ``serving.errors``.
 
-Malformed requests (unknown vertices, negative hop bounds, non-integer
-ids) resolve to a **structured error response** on that request's
-future only — the batch they rode in keeps going.  Batched and
-unbatched answers are bit-identical by construction: both call the same
-:meth:`resolve`; the batching layer only changes *when* the index is
-synced, and :meth:`resolve` syncs lazily too.
+:meth:`PathQueryService.submit` is the coroutine form asyncio callers
+await; it calls :meth:`resolve` and never suspends, so both give the
+same answers and a mutation between two requests is seen by the later
+one.  Malformed requests (unknown vertices, negative hop bounds,
+non-integer ids) resolve to a **structured error response**.
 
 When a tracer is active every request yields a span tree —
-``serving.request`` (enqueue to respond, opened with the explicit
-start/finish lifecycle because it crosses task contexts) with
-``serving.enqueue`` (queue wait), ``serving.repair.sync`` and
-``serving.query`` children plus a ``serving.respond`` event — and each
-flush a sibling ``serving.batch`` span.  When an
+``serving.request`` with ``serving.repair.sync`` and ``serving.query``
+children plus a ``serving.respond`` event.  When an
 :class:`~repro.obs.SloMonitor` is attached, every finished request
 feeds its end-to-end latency and success flag into the monitor's
 sliding window, which is what the admin channel and the ledger's
@@ -43,6 +34,7 @@ without touching the query path.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -141,68 +133,36 @@ def _validated(req: QueryRequest, n: int) -> tuple[int, int, int | None]:
 
 
 class PathQueryService:
-    """Batched query serving over one repairer-backed label index."""
+    """Query serving over one repairer-backed label index."""
 
     def __init__(
         self,
         repairer: LabelRepairer | HubLabelIndex,
         *,
-        max_batch: int = 256,
-        max_delay: float = 0.002,
         slo_monitor: SloMonitor | None = None,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if isinstance(repairer, HubLabelIndex):
             self._repairer = None
             self._index = repairer
         else:
             self._repairer = repairer
             self._index = repairer.index
-        self.max_batch = max_batch
-        self.max_delay = max_delay
         self.slo = slo_monitor
         self._started = time.monotonic()
-        self._pending: list[tuple] = []
-        self._flush_handle: asyncio.TimerHandle | None = None
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests currently waiting for a batch flush."""
-        return len(self._pending)
 
     @property
     def uptime_s(self) -> float:
         return time.monotonic() - self._started
 
-    def _finish_request(
-        self, latency_s: float, ok: bool, spans: dict | None
-    ) -> None:
-        """Common end-of-request bookkeeping for both serving paths."""
-        _metrics.observe("serving.request.seconds", latency_s)
-        if self.slo is not None:
-            self.slo.observe(latency_s, ok=ok)
-        if spans is not None:
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.event(
-                    "serving.respond", parent=spans["request"].context, ok=ok
-                )
-            spans["request"].set(ok=ok).finish()
-
-    # ------------------------------------------------------------------
-    # Unbatched reference path
-    # ------------------------------------------------------------------
-
     def resolve(self, req: QueryRequest) -> QueryResponse:
-        """Answer one request synchronously (the unbatched reference).
+        """Answer one request synchronously.
 
         Never raises for malformed input — that comes back as a
-        structured error response, exactly as in a batch.
+        structured error response.
         """
         tracer = get_tracer()
         arrived = time.perf_counter()
-        with tracer.span("serving.request", mode="unbatched") as req_span:
+        with tracer.span("serving.request") as req_span:
             if self._repairer is not None:
                 with tracer.span("serving.repair.sync"):
                     self._repairer.sync()
@@ -243,106 +203,9 @@ class PathQueryService:
                 req_span.set(ok=response.ok)
         return response
 
-    # ------------------------------------------------------------------
-    # Batched path
-    # ------------------------------------------------------------------
-
     async def submit(self, req: QueryRequest) -> QueryResponse:
-        """Enqueue one request; resolves when its batch flushes."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        tracer = get_tracer()
-        spans = None
-        if tracer.enabled:
-            # The request span crosses contexts (opened here, finished
-            # by the flush callback), so it uses the explicit lifecycle
-            # and never becomes the ambient context.
-            request_span = tracer.span("serving.request", mode="batched")
-            request_span.start()
-            enqueue_span = tracer.span(
-                "serving.enqueue", parent=request_span.context
-            )
-            enqueue_span.start()
-            spans = {"request": request_span, "enqueue": enqueue_span}
-        self._pending.append((req, future, time.perf_counter(), spans))
-        _metrics.set_gauge("serving.queue.depth", len(self._pending))
-        if len(self._pending) >= self.max_batch:
-            self._flush()
-        elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(self.max_delay, self._flush)
-        return await future
-
-    async def submit_many(self, reqs) -> list[QueryResponse]:
-        """Submit a burst concurrently; answers keep request order."""
-        return list(await asyncio.gather(*(self.submit(r) for r in reqs)))
-
-    def _flush(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        batch, self._pending = self._pending, []
-        if not batch:
-            return
-        tracer = get_tracer()
-        started = time.perf_counter()
-        latencies: list[float] = []
-        responses = []
-        with tracer.span("serving.batch", size=len(batch)):
-            for req, future, enqueued_at, spans in batch:
-                t0 = time.perf_counter()
-                if spans is not None:
-                    spans["enqueue"].set(
-                        wait_seconds=round(t0 - enqueued_at, 6)
-                    ).finish()
-                if self._repairer is not None:
-                    # Sync inside the loop so a mutation that lands
-                    # between two requests of one batch is honored for
-                    # the later ones — identical to what unbatched
-                    # resolution sees.
-                    if spans is not None:
-                        sync_span = tracer.span(
-                            "serving.repair.sync",
-                            parent=spans["request"].context,
-                        ).start()
-                    self._repairer.sync()
-                    if spans is not None:
-                        sync_span.finish()
-                try:
-                    src, dst, max_hops = _validated(req, self._index.n)
-                except ValueError as exc:
-                    _metrics.add_counter("serving.errors")
-                    responses.append((future, QueryResponse(
-                        ok=False, src=req.src, dst=req.dst, error=str(exc)
-                    ), enqueued_at, spans))
-                    continue
-                if spans is not None:
-                    query_span = tracer.span(
-                        "serving.query", parent=spans["request"].context
-                    ).start()
-                answer = self._index.query(
-                    src, dst, max_hops, with_path=req.want_path
-                )
-                if spans is not None:
-                    query_span.finish()
-                latencies.append(time.perf_counter() - t0)
-                responses.append((future, QueryResponse(
-                    ok=True, src=src, dst=dst, reachable=answer.reachable,
-                    distance=answer.distance, path=answer.path,
-                ), enqueued_at, spans))
-            _metrics.observe_many("serving.query.seconds", latencies)
-            _metrics.observe(
-                "serving.batch.seconds", time.perf_counter() - started
-            )
-            _metrics.observe("serving.batch.size", len(batch))
-            _metrics.add_counter("serving.queries", len(latencies))
-            _metrics.add_counter("serving.batches")
-            _metrics.set_gauge("serving.queue.depth", len(self._pending))
-            for future, response, enqueued_at, spans in responses:
-                if not future.done():
-                    future.set_result(response)
-                self._finish_request(
-                    time.perf_counter() - enqueued_at, response.ok, spans
-                )
+        """Answer one request from a coroutine; never suspends."""
+        return self.resolve(req)
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +218,7 @@ ADMIN_VERBS = ("/health", "/metrics", "/slo")
 def admin_response(service: PathQueryService, verb: str) -> dict:
     """Answer one admin verb from live telemetry (JSON-safe).
 
-    * ``/health`` — liveness + queue depth + breach count: ``status`` is
+    * ``/health`` — liveness + uptime + breach count: ``status`` is
       ``"ok"`` until any attached SLO is burning over its alert rate,
       then ``"breached"``.
     * ``/metrics`` — the process-wide registry snapshot plus the rolling
@@ -370,7 +233,6 @@ def admin_response(service: PathQueryService, verb: str) -> dict:
             "ok": True,
             "status": "breached" if breaches else "ok",
             "uptime_s": service.uptime_s,
-            "queue_depth": service.queue_depth,
             "slo_breaches": breaches,
         }
     if verb == "/metrics":
@@ -391,6 +253,66 @@ def admin_response(service: PathQueryService, verb: str) -> dict:
     }
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next line (``b""`` at EOF), or ``None`` if it overran the limit.
+
+    An overlong line is consumed through its newline, so the line after
+    it is framed correctly.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+
+
+async def _answer(service: PathQueryService, line: bytes | None) -> dict:
+    """The JSON-safe reply to one request line; never raises."""
+    if line is None:
+        error = "line too long"
+    elif line.lstrip().startswith(b"/"):
+        return admin_response(service, line.decode("utf-8", "replace"))
+    else:
+        try:
+            data = json.loads(line)
+            if not isinstance(data, dict):
+                raise ValueError("request must be a JSON object")
+            request = QueryRequest.from_dict(data)
+        except (ValueError, RecursionError) as exc:
+            error = str(exc)
+        else:
+            return (await service.submit(request)).as_dict()
+    _metrics.add_counter("serving.errors")
+    return QueryResponse(ok=False, error=error).as_dict()
+
+
+async def _serve_connection(
+    service: PathQueryService,
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+) -> None:
+    """Reply to every line of one connection until EOF or a client reset."""
+    try:
+        while (line := await _read_line(reader)) != b"":
+            payload = await _answer(service, line)
+            writer.write((json.dumps(payload) + "\n").encode())
+            await writer.drain()
+    except ConnectionError:
+        pass  # the client went away; nobody is left to answer
+    finally:
+        writer.close()
+
+
 async def serve_tcp(
     service: PathQueryService, host: str = "127.0.0.1", port: int = 0
 ) -> asyncio.AbstractServer:
@@ -398,46 +320,13 @@ async def serve_tcp(
 
     Each request line is a JSON object (``{"src": .., "dst": ..,
     "max_hops": .., "path": bool}``); each response line is
-    :meth:`QueryResponse.as_dict`.  A line that fails to parse gets a
-    structured error response on the same connection.  Lines starting
-    with ``/`` are admin verbs (see :func:`admin_response`) answered
-    out-of-band — they never enter the batch pipeline, so health checks
-    stay responsive while the query queue is deep.  Returns the
-    ``asyncio`` server (caller owns its lifetime).
+    :meth:`QueryResponse.as_dict`.  Every line gets exactly one reply:
+    a line that is not UTF-8 JSON, or is longer than the stream limit
+    (64 KiB), gets a structured error and the connection stays up.
+    Lines starting with ``/`` are admin verbs (see
+    :func:`admin_response`).  Returns the ``asyncio`` server (caller
+    owns its lifetime).
     """
-
-    async def handle(reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                stripped = line.strip()
-                if stripped.startswith(b"/"):
-                    payload = admin_response(
-                        service, stripped.decode("utf-8", "replace")
-                    )
-                    writer.write(
-                        (json.dumps(payload, sort_keys=True) + "\n").encode()
-                    )
-                    await writer.drain()
-                    continue
-                try:
-                    data = json.loads(line)
-                    if not isinstance(data, dict):
-                        raise ValueError("request must be a JSON object")
-                    request = QueryRequest.from_dict(data)
-                except (json.JSONDecodeError, ValueError) as exc:
-                    _metrics.add_counter("serving.errors")
-                    response = QueryResponse(ok=False, error=str(exc))
-                else:
-                    response = await service.submit(request)
-                writer.write(
-                    (json.dumps(response.as_dict()) + "\n").encode()
-                )
-                await writer.drain()
-        finally:
-            writer.close()
-
-    return await asyncio.start_server(handle, host, port)
+    return await asyncio.start_server(
+        functools.partial(_serve_connection, service), host, port
+    )

@@ -3,12 +3,21 @@
 The seeded internets delegate to the cached builders in
 ``tests/fixtures.py`` so fixture and non-fixture consumers (property
 tests, golden scripts, benchmarks) share one graph instance per seed.
+
+Hypothesis runs under the ``ci`` profile by default: every run draws
+the same examples and no example database is read or written, so the
+suite passes or fails the same way each time.  ``HYPOTHESIS_PROFILE=
+random`` draws fresh examples (and honours ``--hypothesis-seed``); pin
+any counterexample it finds as a deterministic test.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graph.asgraph import ASGraph
 from repro.graph.generators import (
@@ -18,6 +27,10 @@ from repro.graph.generators import (
     star_graph,
 )
 from tests import fixtures
+
+settings.register_profile("ci", derandomize=True, database=None)
+settings.register_profile("random")
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 @pytest.fixture(scope="session")

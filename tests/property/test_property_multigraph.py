@@ -13,7 +13,8 @@ backends:
 * greedy selection returns the identical broker sequence;
 * a :class:`DominationEngine` over either graph stays in lockstep
   through randomized mutation interleavings (add/remove broker, fail/
-  restore node, cut/restore link), with ``verify()`` as the oracle.
+  restore node, cut/restore link), with ``verify()`` as the oracle; an
+  illegal mutation must raise the same error on both sides.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.core.connectivity import connectivity_curve
 from repro.core.domination import broker_mask, dominated_adjacency
 from repro.core.engine import DominationEngine
 from repro.core.greedy import greedy_max_coverage
+from repro.exceptions import ReproError
 from repro.graph.asgraph import ASGraph, EdgeAttributes
 from repro.graph.multigraph import MultiGraph
 from repro.types import LinkKind
@@ -53,6 +55,12 @@ def random_multigraphs(draw, min_nodes=3, max_nodes=200, max_edges=300):
     # Parallel instances: each base edge duplicated 0..3 extra times.
     extra = rng.integers(0, 4, size=m)
     dup = np.repeat(np.arange(m), extra)
+    return _twins(n, src, dst, dup, rng)
+
+
+def _twins(n, src, dst, dup, rng):
+    """A multigraph with base edges ``src``-``dst`` plus the instances
+    ``dup`` repeats, and its directly-built simple twin."""
     inst_src = np.concatenate([src, src[dup]])
     inst_dst = np.concatenate([dst, dst[dup]])
     total = len(inst_src)
@@ -148,6 +156,54 @@ class TestAlgorithmsBitIdentical:
         ) == greedy_max_coverage(simple, budget)
 
 
+def _apply(engine, op, *args):
+    """``engine.op(*args)``, or the error it raised, for comparison."""
+    try:
+        return getattr(engine, op)(*args)
+    except ReproError as exc:
+        return exc
+
+
+def _same_outcome(a, b) -> bool:
+    if isinstance(a, ReproError) or isinstance(b, ReproError):
+        return type(a) is type(b) and str(a) == str(b)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _run_lockstep(mg, simple, brokers, op_seeds, backend) -> int:
+    """Drive both engines through one mutation script; return the
+    number of ops both rejected."""
+    left = DominationEngine.from_multigraph(
+        mg, dict.fromkeys(brokers), backend=backend
+    )
+    right = DominationEngine(simple, dict.fromkeys(brokers), backend=backend)
+    edges = list(zip(simple.edge_src.tolist(), simple.edge_dst.tolist()))
+    rejected = 0
+    for s in op_seeds:
+        rng = np.random.default_rng(s)
+        op = rng.integers(6)
+        v = int(rng.integers(simple.num_nodes))
+        u, w = edges[int(rng.integers(len(edges)))]
+        name, args = [
+            ("add_broker", (v,)), ("remove_broker", (v,)),
+            ("fail_node", (v,)), ("restore_node", (v,)),
+            ("cut_link", (u, w)), ("restore_link", (u, w)),
+        ][op]
+        got, want = _apply(left, name, *args), _apply(right, name, *args)
+        assert _same_outcome(got, want), (name, args, got, want)
+        rejected += isinstance(got, ReproError)
+        np.testing.assert_array_equal(left.hits_view, right.hits_view)
+        np.testing.assert_array_equal(left.covered_view, right.covered_view)
+        assert left.coverage() == right.coverage()
+        assert (
+            left.saturated_connectivity() == right.saturated_connectivity()
+        )
+    assert left.verify() and right.verify()
+    return rejected
+
+
 class TestEngineLockstep:
     @given(
         multigraph_and_brokers(),
@@ -158,36 +214,16 @@ class TestEngineLockstep:
     def test_mutation_interleavings(self, case, op_seeds, backend):
         """Random mutation scripts keep both engines in lockstep."""
         mg, simple, brokers = case
-        left = DominationEngine.from_multigraph(
-            mg, dict.fromkeys(brokers), backend=backend
-        )
-        right = DominationEngine(simple, dict.fromkeys(brokers), backend=backend)
-        edges = list(zip(simple.edge_src.tolist(), simple.edge_dst.tolist()))
-        for s in op_seeds:
-            rng = np.random.default_rng(s)
-            op = rng.integers(6)
-            v = int(rng.integers(simple.num_nodes))
-            u, w = edges[int(rng.integers(len(edges)))]
-            if op == 0:
-                assert np.array_equal(left.add_broker(v), right.add_broker(v))
-            elif op == 1:
-                assert np.array_equal(
-                    left.remove_broker(v), right.remove_broker(v)
-                )
-            elif op == 2:
-                assert left.fail_node(v) == right.fail_node(v)
-            elif op == 3:
-                assert left.restore_node(v) == right.restore_node(v)
-            elif op == 4:
-                assert left.cut_link(u, w) == right.cut_link(u, w)
-            else:
-                assert left.restore_link(u, w) == right.restore_link(u, w)
-            np.testing.assert_array_equal(left.hits_view, right.hits_view)
-            np.testing.assert_array_equal(
-                left.covered_view, right.covered_view
-            )
-            assert left.coverage() == right.coverage()
-            assert (
-                left.saturated_connectivity() == right.saturated_connectivity()
-            )
-        assert left.verify() and right.verify()
+        _run_lockstep(mg, simple, brokers, op_seeds, backend)
+
+    def test_illegal_op_raises_identically_and_lockstep_continues(self):
+        """A 3-node graph with one link 1-2 and broker 0.  Op seeds 1,
+        186, 16, 186 draw ``fail_node(1)``, ``add_broker(1)`` (rejected:
+        the vertex is dead), ``restore_node(1)``, ``add_broker(1)``."""
+        mg, simple = _twins(3, np.array([1]), np.array([2]),
+                            np.array([], dtype=np.int64),
+                            np.random.default_rng(0))
+        for backend in BACKENDS:
+            assert _run_lockstep(
+                mg, simple, [0], [1, 186, 16, 186], backend
+            ) == 1

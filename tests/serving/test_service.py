@@ -1,13 +1,13 @@
-"""Service-tier contract: batching, metrics, errors, loadgen, TCP framing.
+"""Service-tier contract: resolve, metrics, errors, loadgen, TCP framing.
 
-The batching layer must be *behaviorally invisible*: every batched
-answer bit-identical to the unbatched ``resolve`` reference, malformed
-requests resolving to structured errors on their own future without
-killing the batch they rode in, and per-batch latency histograms
-landing in the process-wide metrics registry.  The load generator must
-be deterministic end-to-end — same index + same seed, same queries and
-the same ``answers_digest`` — because ledger regression checks compare
-those digests across sessions.
+``submit`` answers inline through ``resolve``, so the two must agree
+bit for bit, a mutation between two submits must be seen by the later
+one, and malformed requests must resolve to structured errors.  The
+load generator must be deterministic end-to-end — same index + same
+seed, same queries and the same ``answers_digest`` — because ledger
+regression checks compare those digests across sessions.  The TCP
+endpoint must answer every line exactly once and never drop the
+connection over bad input.
 
 No ``pytest-asyncio`` in the toolchain: coroutines run via
 ``asyncio.run`` directly.
@@ -19,6 +19,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import DominationEngine
 from repro.graph.asgraph import ASGraph
@@ -33,6 +35,7 @@ from repro.serving import (
     serve_tcp,
 )
 from repro.serving.labels import HubLabelIndex
+from repro.serving.service import _read_line, _serve_connection
 
 
 @pytest.fixture()
@@ -46,7 +49,14 @@ def engine() -> DominationEngine:
 
 @pytest.fixture()
 def service(engine) -> PathQueryService:
-    return PathQueryService(LabelRepairer(engine), max_batch=4)
+    return PathQueryService(LabelRepairer(engine))
+
+
+def _submit_all(service: PathQueryService, requests) -> list:
+    async def run() -> list:
+        return [await service.submit(req) for req in requests]
+
+    return asyncio.run(run())
 
 
 def _all_requests(n: int) -> list[QueryRequest]:
@@ -58,43 +68,28 @@ def _all_requests(n: int) -> list[QueryRequest]:
 
 class TestBatchingEquivalence:
     def test_batched_equals_unbatched(self, engine, service):
+        """``submit`` and ``resolve`` give bit-identical answers."""
         requests = _all_requests(engine.num_nodes)
-        batched = asyncio.run(service.submit_many(requests))
-        for req, got in zip(requests, batched):
+        submitted = _submit_all(service, requests)
+        for req, got in zip(requests, submitted):
             assert got.as_dict() == service.resolve(req).as_dict()
 
-    def test_batch_flushes_on_size(self, service):
-        before = get_registry().snapshot()["counters"].get(
-            "serving.batches", 0
-        )
-        asyncio.run(service.submit_many(
-            [QueryRequest(0, i % 12) for i in range(8)]
-        ))
-        after = get_registry().snapshot()["counters"]["serving.batches"]
-        # max_batch=4 and 8 concurrent submissions: at least two batches.
-        assert after - before >= 2
-
-    def test_batch_flushes_on_delay(self, service):
-        async def one() -> object:
-            return await service.submit(QueryRequest(0, 5))
-
-        response = asyncio.run(asyncio.wait_for(one(), timeout=5))
-        assert response.ok
-
     def test_mid_batch_mutation_visible_like_unbatched(self, engine):
-        repairer = LabelRepairer(engine)
-        service = PathQueryService(repairer, max_batch=4)
+        """A mutation between two submits is seen by the later one."""
+        service = PathQueryService(LabelRepairer(engine))
 
-        async def mutate_then_query() -> list:
-            first = service.submit(QueryRequest(0, 7))
-            engine.fail_node(7)
-            second = service.submit(QueryRequest(0, 7))
-            return list(await asyncio.gather(first, second))
+        async def query_mutate_query() -> list:
+            # 0-1-2-10-11-4 is the only dominated route from 0 to 4.
+            first = await service.submit(QueryRequest(0, 4))
+            engine.fail_node(11)
+            second = await service.submit(QueryRequest(0, 4))
+            return [first, second]
 
-        first, second = asyncio.run(mutate_then_query())
+        first, second = asyncio.run(query_mutate_query())
+        assert first.reachable is True
         assert second.reachable is False
         assert second.as_dict() == service.resolve(
-            QueryRequest(0, 7)
+            QueryRequest(0, 4)
         ).as_dict()
 
 
@@ -107,7 +102,7 @@ class TestStructuredErrors:
             QueryRequest(0, 5, max_hops=-2),
             QueryRequest(5, 0),
         ]
-        responses = asyncio.run(service.submit_many(requests))
+        responses = _submit_all(service, requests)
         assert [r.ok for r in responses] == [True, False, False, False, True]
         for bad in responses[1:4]:
             assert bad.error
@@ -132,22 +127,20 @@ class TestStructuredErrors:
 
 
 class TestMetrics:
-    def test_latency_histograms_recorded(self, engine):
-        service = PathQueryService(LabelRepairer(engine), max_batch=3)
+    def test_latency_histograms_recorded(self, service):
         before = {
             name: summary["count"]
             for name, summary in get_registry()
             .snapshot()["histograms"].items()
         }
-        asyncio.run(service.submit_many(
-            [QueryRequest(i % 12, (i * 5) % 12) for i in range(7)]
-        ))
+        _submit_all(service, [
+            QueryRequest(i % 12, (i * 5) % 12) for i in range(7)
+        ])
         histograms = get_registry().snapshot()["histograms"]
-        for name in ("serving.query.seconds", "serving.batch.seconds",
-                     "serving.batch.size"):
+        for name in ("serving.query.seconds", "serving.request.seconds"):
             assert name in histograms, f"missing histogram {name}"
             # The registry is process-global: assert *this* run observed.
-            assert histograms[name]["count"] > before.get(name, 0)
+            assert histograms[name]["count"] == before.get(name, 0) + 7
 
 
 class TestLoadgen:
@@ -156,9 +149,8 @@ class TestLoadgen:
         q1 = generate_queries(index, 60, seed=11)
         q2 = generate_queries(index, 60, seed=11)
         assert q1 == q2
-        r1 = run_loadgen(service, index, 60, seed=11, concurrency=3)
-        r2 = run_loadgen(service, index, 60, seed=11, concurrency=5)
-        # Concurrency shapes timing, never answers.
+        r1 = run_loadgen(service, index, 60, seed=11)
+        r2 = run_loadgen(service, index, 60, seed=11)
         assert r1.answers_digest == r2.answers_digest
         assert r1.queries == 60
         assert r1.errors == 0
@@ -179,20 +171,16 @@ class TestLoadgen:
 class TestIndexOnlyService:
     def test_service_over_bare_index(self, engine):
         index = HubLabelIndex.build(engine)
-        service = PathQueryService(index, max_batch=2)
-        responses = asyncio.run(service.submit_many(
-            [QueryRequest(0, 4), QueryRequest(4, 0)]
-        ))
+        service = PathQueryService(index)
+        responses = _submit_all(
+            service, [QueryRequest(0, 4), QueryRequest(4, 0)]
+        )
         assert responses[0].distance == responses[1].distance
-
-    def test_rejects_bad_batch_size(self, engine):
-        with pytest.raises(ValueError):
-            PathQueryService(HubLabelIndex.build(engine), max_batch=0)
 
 
 class TestTcpEndpoint:
     def test_json_lines_round_trip(self, engine):
-        service = PathQueryService(LabelRepairer(engine), max_batch=4)
+        service = PathQueryService(LabelRepairer(engine))
 
         async def roundtrip() -> list[dict]:
             server = await serve_tcp(service, "127.0.0.1", 0)
@@ -219,6 +207,136 @@ class TestTcpEndpoint:
         assert not_json["ok"] is False and not_json["error"]
         assert bad_dst["ok"] is False and "dst" in bad_dst["error"]
         assert self_query["ok"] and self_query["distance"] == 0
+
+
+#: Request lines worth mixing into the framing fuzz.
+AWKWARD_LINES = [
+    b'{"src": 0, "dst": 4, "path": true}',
+    b"/health",
+    b"/nope",
+    b"{}",
+    b"null",
+    b"[" * 5000,
+    b'{"src": 1e400, "dst": 0}',
+    b'{"src": 0, "dst": 4, "max_hops": -1}',
+    b"\xff\xfe{\x00",
+    b"\r",
+    b"",
+]
+
+
+async def _exchange(service, payload: bytes, replies: int) -> tuple:
+    """Send ``payload``, read ``replies`` lines, then what follows EOF."""
+    server = await serve_tcp(service, "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(payload)
+    await writer.drain()
+
+    async def read() -> tuple:
+        lines = [await reader.readline() for _ in range(replies)]
+        writer.write_eof()
+        return lines, await reader.read()
+
+    lines, rest = await asyncio.wait_for(read(), timeout=30)
+    writer.close()
+    server.close()
+    await server.wait_closed()
+    return [json.loads(line) for line in lines], rest
+
+
+class _ResetWriter:
+    """A stream writer whose peer reset the connection."""
+
+    closed = False
+
+    def write(self, data: bytes) -> None:
+        pass
+
+    async def drain(self) -> None:
+        raise ConnectionResetError("peer reset")
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class TestTcpHardening:
+    def test_oversize_and_non_utf8_lines_get_one_error_each(self, service):
+        payload = (
+            b'{"src": 0, "dst": "' + b"x" * 100_000 + b'"}\n'
+            + b"\xff\xfe\x80\n"
+            + b'{"src": 0, "dst": 4}\n'
+        )
+        (too_long, binary, query), rest = asyncio.run(
+            _exchange(service, payload, 3)
+        )
+        assert too_long == {"ok": False, "error": "line too long",
+                            "src": None, "dst": None}
+        assert binary["ok"] is False and binary["error"]
+        assert query == service.resolve(QueryRequest(0, 4)).as_dict()
+        assert rest == b""
+
+    @pytest.mark.parametrize("chunks", [
+        [b"0123456789abc\nnext\n"],         # newline already buffered
+        [b"0123456789ab", b"cdef\nnext\n"],  # newline arrives later
+        [b"0123456789ab", b"cdefghijklmnop", b"\nnext\n"],
+    ])
+    def test_overlong_line_is_dropped_through_its_newline(self, chunks):
+        async def scenario() -> list:
+            reader = asyncio.StreamReader(limit=8)
+            reader.feed_data(chunks[0])
+            first = asyncio.ensure_future(_read_line(reader))
+            for chunk in chunks[1:]:
+                await asyncio.sleep(0)
+                reader.feed_data(chunk)
+            reader.feed_eof()
+            return [await first, await _read_line(reader),
+                    await _read_line(reader)]
+
+        assert asyncio.run(scenario()) == [None, b"next\n", b""]
+
+    def test_client_reset_during_drain_ends_the_handler(self, service):
+        async def scenario() -> _ResetWriter:
+            reader = asyncio.StreamReader()
+            reader.feed_data(b'{"src": 0, "dst": 4}\n{"src": 1, "dst": 5}\n')
+            writer = _ResetWriter()
+            await _serve_connection(service, reader, writer)
+            return writer
+
+        assert asyncio.run(scenario()).closed
+
+    def test_client_reset_during_read_ends_the_handler(self, service):
+        async def scenario() -> _ResetWriter:
+            reader = asyncio.StreamReader()
+            reader.set_exception(ConnectionResetError("peer reset"))
+            writer = _ResetWriter()
+            await _serve_connection(service, reader, writer)
+            return writer
+
+        assert asyncio.run(scenario()).closed
+
+    @given(st.lists(
+        st.one_of(
+            st.binary(max_size=64).map(lambda b: b.replace(b"\n", b"")),
+            st.sampled_from(AWKWARD_LINES),
+        ),
+        max_size=6,
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_every_line_gets_exactly_one_json_reply(self, lines):
+        graph = ASGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        service = PathQueryService(
+            LabelRepairer(DominationEngine(graph, [1, 3]))
+        )
+        payload = b"".join(line + b"\n" for line in lines)
+        payload += b'{"src": 0, "dst": 4}\n'
+        replies, rest = asyncio.run(
+            _exchange(service, payload, len(lines) + 1)
+        )
+        assert all(isinstance(reply, dict) for reply in replies)
+        assert replies[-1] == service.resolve(QueryRequest(0, 4)).as_dict()
+        assert replies[-1]["reachable"] is True
+        assert rest == b""
 
 
 class TestCachedBuild:

@@ -1,12 +1,11 @@
 """Serving telemetry: span trees, SLO feed, admin channel, equivalence.
 
 The instrumentation must be *behaviorally invisible*: with a tracer
-active, every batched answer stays bit-identical to the unbatched
-reference (the PR's acceptance criterion), and each request yields a
-complete span tree — ``serving.request`` with ``serving.enqueue``,
-``serving.repair.sync`` and ``serving.query`` children plus a
-``serving.respond`` event — with no orphans.  The admin channel must
-report the same numbers the SLO monitor holds.
+active, every submitted answer stays bit-identical to the untraced
+``resolve``, and each request yields a complete span tree —
+``serving.request`` with ``serving.repair.sync`` and ``serving.query``
+children plus a ``serving.respond`` event — with no orphans.  The
+admin channel must report the same numbers the SLO monitor holds.
 
 No ``pytest-asyncio`` in the toolchain: coroutines run via
 ``asyncio.run`` directly.
@@ -22,7 +21,6 @@ import pytest
 from repro.core.engine import DominationEngine
 from repro.graph.asgraph import ASGraph
 from repro.obs import Tracer, use_tracer
-from repro.obs.metrics import get_registry
 from repro.obs.slo import SloMonitor, SloSpec
 from repro.serving import (
     ADMIN_VERBS,
@@ -45,11 +43,18 @@ def engine() -> DominationEngine:
 
 @pytest.fixture()
 def service(engine) -> PathQueryService:
-    return PathQueryService(LabelRepairer(engine), max_batch=4)
+    return PathQueryService(LabelRepairer(engine))
 
 
 def _requests(n: int) -> list[QueryRequest]:
     return [QueryRequest(s, t) for s in range(n) for t in range(n)]
+
+
+def _submit_all(service: PathQueryService, requests) -> list:
+    async def run() -> list:
+        return [await service.submit(req) for req in requests]
+
+    return asyncio.run(run())
 
 
 def _children_of(records: list[dict], span_id: str) -> list[dict]:
@@ -61,7 +66,7 @@ class TestRequestSpanTrees:
         tracer = Tracer()
         reqs = _requests(3)
         with use_tracer(tracer):
-            asyncio.run(service.submit_many(reqs))
+            _submit_all(service, reqs)
         records = tracer.records
         requests = [r for r in records if r["name"] == "serving.request"]
         assert len(requests) == len(reqs)
@@ -70,13 +75,12 @@ class TestRequestSpanTrees:
             r["parent"] is None or r["parent"] in known for r in records
         ), "span tree has orphans"
         for req_span in requests:
-            assert req_span["attrs"]["mode"] == "batched"
-            assert req_span["attrs"]["ok"] is True
+            assert req_span["parent"] is None
+            assert req_span["attrs"] == {"ok": True}
             kids = _children_of(records, req_span["id"])
             names = sorted(k["name"] for k in kids)
             assert names == [
-                "serving.enqueue", "serving.query", "serving.repair.sync",
-                "serving.respond",
+                "serving.query", "serving.repair.sync", "serving.respond",
             ]
             respond = next(
                 k for k in kids if k["name"] == "serving.respond"
@@ -84,17 +88,8 @@ class TestRequestSpanTrees:
             assert respond["type"] == "event"
             # Children share the request's trace id.
             assert {k["trace"] for k in kids} == {req_span["trace"]}
-        # One serving.batch span per flush, as a root alongside requests.
-        assert any(r["name"] == "serving.batch" for r in records)
-
-    def test_enqueue_span_records_queue_wait(self, service):
-        tracer = Tracer()
-        with use_tracer(tracer):
-            asyncio.run(service.submit(QueryRequest(0, 7)))
-        enqueue = next(
-            r for r in tracer.records if r["name"] == "serving.enqueue"
-        )
-        assert enqueue["attrs"]["wait_seconds"] >= 0.0
+        # Nothing but request trees.
+        assert len(records) == 4 * len(reqs)
 
     def test_unbatched_resolve_tree(self, service):
         tracer = Tracer()
@@ -104,7 +99,7 @@ class TestRequestSpanTrees:
         req_span = next(
             r for r in records if r["name"] == "serving.request"
         )
-        assert req_span["attrs"]["mode"] == "unbatched"
+        assert req_span["attrs"] == {"ok": True}
         names = sorted(
             k["name"] for k in _children_of(records, req_span["id"])
         )
@@ -127,7 +122,7 @@ class TestRequestSpanTrees:
         assert "serving.query" not in names  # never reached the index
 
     def test_no_tracing_no_spans(self, service):
-        responses = asyncio.run(service.submit_many(_requests(2)))
+        responses = _submit_all(service, _requests(2))
         assert all(r.ok for r in responses)
 
 
@@ -141,27 +136,21 @@ class TestTracedEquivalence:
         reference = PathQueryService(LabelRepairer(engine))
         expected = [reference.resolve(r).as_dict() for r in reqs]
         with use_tracer(Tracer()):
-            batched = PathQueryService(
-                LabelRepairer(engine), max_batch=7,
-                slo_monitor=SloMonitor(),
+            traced = PathQueryService(
+                LabelRepairer(engine), slo_monitor=SloMonitor()
             )
-            got = [
-                r.as_dict()
-                for r in asyncio.run(batched.submit_many(reqs))
-            ]
+            got = [r.as_dict() for r in _submit_all(traced, reqs)]
         assert got == expected
 
 
 class TestSloFeed:
     def _monitored(self, engine, specs=None) -> PathQueryService:
         monitor = SloMonitor(specs) if specs else SloMonitor()
-        return PathQueryService(
-            LabelRepairer(engine), max_batch=4, slo_monitor=monitor
-        )
+        return PathQueryService(LabelRepairer(engine), slo_monitor=monitor)
 
     def test_every_request_feeds_the_window(self, engine):
         service = self._monitored(engine)
-        asyncio.run(service.submit_many(_requests(3)))
+        _submit_all(service, _requests(3))
         service.resolve(QueryRequest(0, 1))
         assert service.slo.window.snapshot()["count"] == 10
         assert service.slo.snapshot()["lifetime"]["count"] == 10
@@ -179,7 +168,7 @@ class TestSloFeed:
         service = self._monitored(engine, [SloSpec(
             name="strict", kind="latency", target=0.99, threshold=1e-12,
         )])
-        asyncio.run(service.submit_many(_requests(2)))
+        _submit_all(service, _requests(2))
         (verdict,) = service.slo.breaches()
         assert verdict.spec.name == "strict"
         assert verdict.burn_rate > 1.0
@@ -193,7 +182,7 @@ class TestAdminChannel:
         payload = admin_response(service, "/health")
         assert payload["ok"] is True
         assert payload["status"] == "ok"
-        assert payload["queue_depth"] == 0
+        assert set(payload) == {"ok", "status", "uptime_s", "slo_breaches"}
         service.slo = SloMonitor([SloSpec(
             name="strict", kind="latency", target=0.99, threshold=1e-12,
         )])
@@ -272,20 +261,3 @@ class TestAdminChannel:
         assert "counters" in metrics["metrics"]
         assert bogus["ok"] is False
 
-
-class TestQueueDepthGauge:
-    def test_gauge_tracks_pending_then_drains(self, service):
-        async def scenario():
-            task = asyncio.ensure_future(
-                service.submit(QueryRequest(0, 5))
-            )
-            await asyncio.sleep(0)  # let submit() enqueue
-            depth_while_pending = service.queue_depth
-            gauge = get_registry().gauge("serving.queue.depth").value
-            await task
-            return depth_while_pending, gauge
-
-        depth, gauge = asyncio.run(scenario())
-        assert depth == 1
-        assert gauge == 1.0
-        assert service.queue_depth == 0
