@@ -26,8 +26,18 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
+
 from repro.core.registry import get_index, registry_fingerprint
-from repro.serving.labels import UNREACHED, HubLabelIndex, QueryAnswer
+from repro.exceptions import AlgorithmError
+from repro.obs import metrics as _metrics
+from repro.serving.labels import (
+    UNREACHED,
+    HubLabelIndex,
+    QueryAnswer,
+    _snapshot,
+    key_endpoints,
+)
 from repro.serving.loadgen import LoadgenReport, generate_queries, run_loadgen
 from repro.serving.repair import LabelRepairer
 from repro.serving.service import (
@@ -66,14 +76,12 @@ def engine_state_digest(engine) -> str:
     engines that agree on those (whatever their broker/mutation history)
     share one cache entry.
     """
-    from repro.serving.labels import _snapshot
-
-    n, alive, edges = _snapshot(engine)
+    n, alive, keys = _snapshot(engine)
     material = json.dumps(
         {
             "n": n,
-            "dead": [int(v) for v in range(n) if not alive[v]],
-            "edges": sorted(map(list, edges)),
+            "dead": np.flatnonzero(~alive).tolist(),
+            "edges": np.column_stack(key_endpoints(keys)).tolist(),
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -92,19 +100,28 @@ def build_index(
     content-addressed by the engine state digest, the family's declared
     parameters, and the registry fingerprint — so payloads invalidate
     when the roster or the build policy changes, exactly like cached
-    experiment results.
+    experiment results.  A cache file is outside input: an entry that
+    fails :meth:`HubLabelIndex.from_payload` validation is treated as a
+    miss — rebuilt, overwritten and counted in
+    ``serving.index.cache_rejects``.
     """
     spec = get_index(family)
     if cache is None:
         return spec.builder(engine)
-    params = {
-        "policy": {p.name: p.default for p in spec.params},
-        "registry": registry_fingerprint(),
+    entry = {
+        "graph_digest": engine_state_digest(engine),
+        "algorithm": f"serving-index-{family}",
+        "params": {
+            "policy": {p.name: p.default for p in spec.params},
+            "registry": registry_fingerprint(),
+        },
     }
-    payload = cache.get_or_compute(
-        lambda: spec.builder(engine).to_payload(),
-        graph_digest=engine_state_digest(engine),
-        algorithm=f"serving-index-{family}",
-        params=params,
-    )
-    return HubLabelIndex.from_payload(payload)
+    payload = cache.get(**entry)
+    if payload is not None:
+        try:
+            return HubLabelIndex.from_payload(payload)
+        except AlgorithmError:
+            _metrics.add_counter("serving.index.cache_rejects")
+    index = spec.builder(engine)
+    cache.put(index.to_payload(), **entry)
+    return index

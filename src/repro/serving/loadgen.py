@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.graph.bitset import bitset_hop_reach, indices_from_mask
+from repro.graph.bitset import bitset_hop_reach
 from repro.obs import metrics as _metrics
 from repro.serving.labels import HubLabelIndex
 from repro.serving.service import PathQueryService, QueryRequest
@@ -91,9 +91,8 @@ def _hop_weights(index: HubLabelIndex, rng: np.random.Generator) -> np.ndarray:
         return np.ones(PROFILE_MAX_HOPS) / PROFILE_MAX_HOPS
     rows, cols = [], []
     for v in alive.tolist():
-        for u in indices_from_mask(index.adj[v], index.n).tolist():
-            rows.append(v)
-            cols.append(u)
+        rows.extend([v] * len(index.adj[v]))
+        cols.extend(index.adj[v])
     matrix = sparse.csr_matrix(
         (np.ones(len(rows), dtype=np.int8), (rows, cols)),
         shape=(index.n, index.n),

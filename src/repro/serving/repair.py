@@ -1,45 +1,61 @@
-"""Incremental hub-label repair under engine churn.
+"""Exact hub-label repair under engine churn.
 
-Rebuilding the whole labeling after every broker add/remove or
-node/link event would put the serving tier right back in the
-batch-recompute world the index exists to escape.  The
-:class:`LabelRepairer` instead subscribes to
-:meth:`DominationEngine.subscribe` and keeps the index lazily
-synchronized: mutations only mark the index dirty, and the next query
-(or explicit :meth:`sync`) diffs the engine's dominated edge set
-against the snapshot the labels were built from and patches the
-difference:
+:class:`LabelRepairer` subscribes to :meth:`DominationEngine.subscribe`;
+a mutation only marks the index dirty, and the next query (or explicit
+``sync()``) repairs it.  After every ``sync()`` the index equals the
+**canonical** labeling (see :mod:`repro.serving.labels`) of the current
+dominated subgraph in the index's own rank order.
 
-* **Grow-only deltas** (broker adds, link/node restores — the dominated
-  subgraph only gains edges and vertices) are patched *in place* with
-  the Akiba–Iwata–Yoshida incremental rule: for each new edge
-  ``(u, v)``, every hub of ``u`` resumes its pruned BFS from ``v`` at
-  ``dist(hub, u) + 1`` (and symmetrically), inserting only the entries
-  the new edge actually improves.  Edges are applied one at a time
-  against the adjacency-so-far, which makes every step's labels exact
-  by induction; patched labels may keep a few entries a from-scratch
-  rebuild would prune, but every *answer* stays bit-identical to it —
-  the differential suite pins this.
-* **Shrinking deltas** (broker removals, failures, cuts) can invalidate
-  labels arbitrarily far away, but never beyond the affected
-  *components*: labels cannot span components, so the repairer clears
-  and canonically rebuilds only the union of old and new components
-  touching the delta, leaving every other component's labels untouched.
-  Localized churn therefore costs the affected neighborhood, not the
-  graph.
+**Ranks are fixed.**  A vertex keeps its rank while dead, so a break
+followed by its heal restores the labels byte for byte.  A vertex never
+ranked (dead when the repairer started, or new from ``add_node``) gets
+one past the largest rank ever assigned, so alive ranks stay distinct.
 
-The repairer never mutates the engine; it only observes.  ``verify()``
-on the wrapped index remains the from-scratch oracle after any repair.
+**One repair path.**  ``sync()`` diffs the dominated edges as sorted
+int64 keys (removed E−, added E+, born and died vertices), then:
+
+1. finds the *affected hubs* A: every born or died vertex; every ``h``
+   from which a removed edge ``(a, b)`` is tight in the old graph,
+   ``d(h, b) = d(h, a) + 1``, with ``b`` alive after the delta; every
+   ``h`` from which an added edge is tight in the new graph with its
+   far end alive before.  Distances come from unweighted BFS from the
+   delta's endpoints (``scipy.sparse.csgraph``), in bounded chunks;
+2. applies the delta to the neighbour lists, drops the labels of died
+   vertices and labels each born ``x`` from the definition: a BFS from
+   ``x`` carries ``m(v) = min(rank v, m(parents))`` down the levels and
+   ``x`` gets ``(h, d(x, h))`` for every ``h`` with ``m(h) = rank h``;
+3. re-sweeps each ``h`` in A, in rank order, deleting through the hub →
+   vertex index the entries of ``h`` it no longer reaches (all if dead).
+
+*Why this is exact.*  Whether ``h ∈ L(v)`` depends only on the set of
+shortest ``h–v`` paths, which the delta changes only if an old shortest
+path crosses a removed element or a new one crosses an added element.
+Walking such a path from ``h`` toward ``v`` reaches a tight delta edge
+whose far end is alive on both sides (the edge out of the last born or
+died vertex on it, else the first delta edge) unless ``v`` itself was
+born or died, which step 2 covers.  So hubs outside A keep exactly their
+canonical entries.  A canonical ``L(h)`` holds only hubs that outrank
+``h``, so a re-sweep in rank order prunes only against labels already
+repaired and adds exactly the fresh build's entries for ``h``.  Any
+superset of A is exact too.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import shortest_path
 
 from repro.obs import metrics as _metrics
-from repro.serving.labels import HubLabelIndex, _snapshot
+from repro.serving.labels import HubLabelIndex, _snapshot, key_endpoints
 
 __all__ = ["LabelRepairer"]
+
+#: Delta edges per BFS block: at most ``2 * BFS_CHUNK`` distance rows
+#: of the universe are held at once.
+BFS_CHUNK = 16
 
 
 class LabelRepairer:
@@ -48,7 +64,10 @@ class LabelRepairer:
     def __init__(self, engine, index: HubLabelIndex | None = None) -> None:
         self._engine = engine
         self.index = index if index is not None else HubLabelIndex.build(engine)
-        self._n, self._alive, self._edges = _snapshot(engine)
+        _, self._alive, self._keys = _snapshot(engine)
+        # Vertices dead now are unranked until their first birth.
+        self._ranked = self.index.alive.copy()
+        self._next_rank = int(self.index.rank[self._ranked].max(initial=-1)) + 1
         self._dirty = False
         self._unsubscribe = engine.subscribe(self._on_mutation)
 
@@ -72,175 +91,109 @@ class LabelRepairer:
     # ------------------------------------------------------------------
 
     def sync(self) -> bool:
-        """Patch the index up to the engine's current state.
+        """Repair the index up to the engine's current state.
 
         Returns True when any repair work ran (False = clean no-op).
         """
         if not self._dirty:
             return False
         self._dirty = False
-        n, alive, edges = _snapshot(self._engine)
-        old_n, old_alive, old_edges = self._n, self._alive, self._edges
-        added = sorted(edges - old_edges)
-        removed = sorted(old_edges - edges)
-        min_n = min(n, old_n)
-        born = [
-            int(v)
-            for v in range(n)
-            if alive[v] and (v >= old_n or not old_alive[v])
-        ]
-        died = [
-            int(v)
-            for v in range(old_n)
-            if old_alive[v] and (v >= n or not alive[v])
-        ]
-        self._n, self._alive, self._edges = n, alive, edges
-        if not (added or removed or born or died or n != old_n):
+        n, alive, keys = _snapshot(self._engine)
+        index = self.index
+        if n > index.n:
+            index._extend(n)
+            self._ranked = np.pad(self._ranked, (0, n - len(self._ranked)))
+        # A universe that shrinks (a rolled-back add_node) leaves its top
+        # ids dead: the index never shrinks.
+        alive = np.pad(alive, (0, index.n - len(alive)))
+        old_alive = np.pad(self._alive, (0, index.n - len(self._alive)))
+        old_keys = self._keys
+        removed = np.setdiff1d(old_keys, keys, assume_unique=True)
+        added = np.setdiff1d(keys, old_keys, assume_unique=True)
+        born = np.flatnonzero(alive & ~old_alive)
+        died = np.flatnonzero(old_alive & ~alive)
+        self._alive, self._keys = alive, keys
+        if not (len(removed) or len(added) or len(born) or len(died)):
             return False
-        shrinking = bool(removed or died or n < old_n)
-        if shrinking:
-            self._rebuild_scope(
-                n, alive, old_n, old_alive, old_edges, edges,
-                added, removed, born, died,
-            )
-            _metrics.add_counter("serving.repair.scoped_rebuilds")
-        else:
-            self._grow(n, alive, born, added)
-            _metrics.add_counter("serving.repair.incremental_patches")
+        affected = np.zeros(index.n, dtype=bool)
+        affected[born] = affected[died] = True
+        _mark_tight(affected, old_keys, removed, alive)
+        _mark_tight(affected, keys, added, old_alive)
+        self._apply(alive, removed, added, born, died)
+        hubs = np.flatnonzero(affected)
+        for h in hubs[np.argsort(index.rank[hubs])].tolist():
+            index._pruned_bfs(h)
+        shrinking = bool(len(removed) or len(died))
+        _metrics.add_counter("serving.repair.scoped_rebuilds" if shrinking
+                             else "serving.repair.incremental_patches")
+        _metrics.add_counter("serving.repair.hubs_swept", len(hubs))
         _metrics.add_counter("serving.repair.edges_added", len(added))
         _metrics.add_counter("serving.repair.edges_removed", len(removed))
         return True
 
-    # ------------------------------------------------------------------
-    # Grow-only patch (AIY incremental insertion)
-    # ------------------------------------------------------------------
-
-    def _grow(self, n: int, alive: np.ndarray, born: list[int],
-              added: list[tuple[int, int]]) -> None:
+    def _apply(self, alive, removed, added, born, died) -> None:
+        """Apply the delta to the adjacency, aliveness, ranks and the
+        labels of born and died vertices."""
         index = self.index
-        # Next free rank over the *previously* alive roster — every rank
-        # assignment anywhere starts past the current alive maximum, so
-        # alive ranks stay globally distinct (deterministic hub order).
-        next_rank = int(index.rank[index.alive].max(initial=-1)) + 1
-        self._resize(n)
-        index.alive = alive.copy()
-        for v in born:
-            # A newly alive vertex starts isolated in the dominated
-            # subgraph: its only label is itself, appended at the end of
-            # the root order.
-            index.hub_dists[v] = {v: 0}
-            index._hubs[v] = None
-            index.rank[v] = next_rank
-            next_rank += 1
-        for u, v in added:
-            self._insert_edge(u, v)
-
-    def _insert_edge(self, u: int, v: int) -> None:
-        """AIY insertion of one dominated edge into the labeling."""
-        index = self.index
-        index.adj[u] |= 1 << v
-        index.adj[v] |= 1 << u
-        for a, b in ((u, v), (v, u)):
-            # Snapshot before resuming: the sweeps themselves add entries.
-            hubs = sorted(
-                index.hub_dists[a].items(),
-                key=lambda hd: int(index.rank[hd[0]]),
-            )
-            for hub, dist in hubs:
-                index._pruned_bfs(hub, start=b, start_dist=dist + 1)
-
-    # ------------------------------------------------------------------
-    # Shrinking delta: component-scoped canonical rebuild
-    # ------------------------------------------------------------------
-
-    def _rebuild_scope(
-        self,
-        n: int,
-        alive: np.ndarray,
-        old_n: int,
-        old_alive: np.ndarray,
-        old_edges: set[tuple[int, int]],
-        edges: set[tuple[int, int]],
-        added: list[tuple[int, int]],
-        removed: list[tuple[int, int]],
-        born: list[int],
-        died: list[int],
-    ) -> None:
-        index = self.index
-        seeds = set(born) | set(died)
-        for u, v in added:
-            seeds.update((u, v))
-        for u, v in removed:
-            seeds.update((u, v))
-        # Affected scope: every old-graph and new-graph component that
-        # touches a seed.  Labels never span components, so everything
-        # outside the scope keeps its labels (and provably stays
-        # consistent: the delta only changes adjacency at seeds).
-        scope = _component_scope(old_n, old_edges, seeds)
-        scope |= _component_scope(n, edges, seeds)
-        self._resize(n)
-        scope = {v for v in scope if v < n}
-        for v in scope:
-            index.hub_dists[v] = dict()
-            index._hubs[v] = None
-            index.adj[v] = 0
-        for u, v in edges:
-            if u in scope or v in scope:
-                index.adj[u] |= 1 << v
-                index.adj[v] |= 1 << u
-        index.alive = alive.copy()
-        # Canonical rebuild within the scope: fresh degree order over
-        # the new dominated subgraph, one pruned BFS per root.  Sweeps
-        # cannot leave the scope — every component they can reach is
-        # inside it by construction.
-        roots = index._degree_order(scope)
-        base = int(index.rank[index.alive].max(initial=-1)) + 1
-        index.rank[sorted(scope)] = index.n
-        index.rank[roots] = base + np.arange(len(roots), dtype=np.int64)
-        for r in roots:
-            index._pruned_bfs(int(r))
-
-    def _resize(self, n: int) -> None:
-        """Grow or truncate the index arrays to universe size ``n``."""
-        index = self.index
-        if n > index.n:
-            index.adj.extend([0] * (n - index.n))
-            index.hub_dists.extend(dict() for _ in range(n - index.n))
-            index._hubs.extend([None] * (n - index.n))
-            index._dists.extend([None] * (n - index.n))
-            grown = np.full(n, n, dtype=np.int64)
-            grown[: index.n] = index.rank
-            index.rank = grown
-            index.alive = np.concatenate(
-                [index.alive, np.zeros(n - index.n, dtype=bool)]
-            )
-        elif n < index.n:
-            del index.adj[n:]
-            del index.hub_dists[n:]
-            del index._hubs[n:]
-            del index._dists[n:]
-            index.rank = index.rank[:n].copy()
-            index.alive = index.alive[:n].copy()
-            limit = (1 << n) - 1
-            for v in range(n):
-                index.adj[v] &= limit
-        index.n = n
+        adj = index.adj
+        for u, v in zip(*(a.tolist() for a in key_endpoints(removed))):
+            adj[u].remove(v)
+            adj[v].remove(u)
+        for u, v in zip(*(a.tolist() for a in key_endpoints(added))):
+            insort(adj[u], v)
+            insort(adj[v], u)
+        index.alive = alive
+        for v in died.tolist():
+            index._set_label(v, {})
+        fresh = born[~self._ranked[born]]
+        index.rank[fresh] = self._next_rank + np.arange(len(fresh))
+        self._next_rank += len(fresh)
+        self._ranked[fresh] = True
+        rank = index.rank.tolist()
+        for x in born.tolist():
+            index._set_label(x, _canonical_label(adj, rank, x))
 
 
-def _component_scope(n: int, edges, seeds) -> set[int]:
-    """Vertices sharing a connected component with any seed."""
-    parent = list(range(n))
+def _mark_tight(affected: np.ndarray, keys: np.ndarray, delta: np.ndarray,
+                far_alive: np.ndarray) -> None:
+    """Flag every hub from which some ``delta`` edge is tight in the
+    graph of ``keys``, with its far end alive in ``far_alive``."""
+    if not len(delta):
+        return
+    n = len(affected)
+    lo, hi = key_endpoints(keys)
+    graph = sparse.csr_matrix(
+        (np.ones(len(keys), dtype=np.int8), (lo, hi)), shape=(n, n)
+    )
+    for start in range(0, len(delta), BFS_CHUNK):
+        a, b = key_endpoints(delta[start:start + BFS_CHUNK])
+        sources, rows = np.unique(np.concatenate([a, b]), return_inverse=True)
+        dist = shortest_path(graph, directed=False, unweighted=True,
+                             indices=sources)
+        with np.errstate(invalid="ignore"):  # inf - inf: both unreachable
+            step = dist[rows[len(a):]] - dist[rows[: len(a)]]
+        affected |= ((step == 1) & far_alive[b][:, None]).any(axis=0)
+        affected |= ((step == -1) & far_alive[a][:, None]).any(axis=0)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for u, v in edges:
-        if u < n and v < n:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    seed_roots = {find(s) for s in seeds if s < n}
-    return {v for v in range(n) if find(v) in seed_roots}
+def _canonical_label(adj: list[list[int]], rank: list[int],
+                     x: int) -> dict[int, int]:
+    """``L(x)`` from the definition: BFS levels from ``x`` carrying the
+    least rank on any shortest path so far; ``h`` is a hub of ``x`` iff
+    that least rank is its own."""
+    label = {}
+    least = {x: rank[x]}
+    seen = {x}
+    d = 0
+    while least:
+        nxt: dict[int, int] = {}
+        for v, m in least.items():
+            if m == rank[v]:
+                label[v] = d
+            for u in adj[v]:
+                if u not in seen and m < nxt.get(u, m + 1):
+                    nxt[u] = m
+        seen.update(nxt)
+        least = {u: min(m, rank[u]) for u, m in nxt.items()}
+        d += 1
+    return label

@@ -12,7 +12,11 @@ structural promises that queries and repairs exploit:
 * ``distance`` is symmetric (undirected subgraph, asymmetric labels);
 * ``index.verify()`` — the all-pairs from-scratch oracle — passes after
   **every** incremental repair step, and serialization round-trips
-  bit-identical answers.
+  bit-identical answers;
+* fresh builds and every repair leave the labels **canonical** in the
+  index's own rank order: ``h ∈ L(v)`` with value ``d(h, v)`` iff ``h``
+  outranks every other vertex on every shortest ``h–v`` path — checked
+  against that definition directly, from all-pairs BFS.
 """
 
 from __future__ import annotations
@@ -30,7 +34,36 @@ from tests.serving.test_label_differential import (
 )
 
 
+def canonical_labels(engine, rank) -> list[dict[int, int]]:
+    """The canonical labeling by definition: ``w`` lies on a shortest
+    ``h–v`` path iff ``d(h, w) + d(w, v) == d(h, v)``."""
+    dist = [naive_distances(engine, v) for v in range(engine.num_nodes)]
+    return [
+        {
+            h: d
+            for h, d in dist[v].items()
+            if all(rank[w] > rank[h] for w, dw in dist[v].items()
+                   if w != h and dist[h][w] + dw == d)
+        }
+        for v in range(engine.num_nodes)
+    ]
+
+
+def assert_canonical(index: HubLabelIndex, engine) -> None:
+    alive_ranks = index.rank[index.alive]
+    assert len(set(alive_ranks.tolist())) == len(alive_ranks)
+    expected = canonical_labels(engine, index.rank)
+    expected += [{}] * (index.n - engine.num_nodes)
+    assert index.hub_dists == expected
+
+
 class TestLabelStructure:
+    @given(engines())
+    @settings(max_examples=25, deadline=None)
+    def test_fresh_build_is_canonical(self, engine):
+        index = HubLabelIndex.build(engine)
+        assert_canonical(index, engine)
+
     @given(engines())
     @settings(max_examples=25, deadline=None)
     def test_hub_arrays_sorted_unique_and_exact(self, engine):
@@ -100,6 +133,24 @@ class TestRepairInvariants:
             _apply_mutation(engine, op, a, b)
             repairer.sync()
             assert repairer.index.verify()
+
+    @given(
+        engines(max_nodes=16),
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 7), st.integers(0, 63),
+                               st.integers(0, 63)),
+                     min_size=1, max_size=3),
+            min_size=1, max_size=6,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_labels_stay_canonical_after_every_sync(self, engine, script):
+        repairer = LabelRepairer(engine)
+        for ops in script:
+            for op, a, b in ops:
+                _apply_mutation(engine, op, a, b)
+            repairer.sync()
+            assert_canonical(repairer.index, engine)
 
     @given(engines(max_nodes=20))
     @settings(max_examples=15, deadline=None)

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import DominationEngine
+from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
 from repro.obs.metrics import get_registry
 from repro.serving import (
@@ -339,6 +340,30 @@ class TestTcpHardening:
         assert rest == b""
 
 
+def truncated_labels(payload: dict) -> None:
+    payload["labels"].pop()
+
+
+def out_of_range_hub(payload: dict) -> None:
+    payload["labels"][0].append([payload["n"], 1])
+
+
+def duplicate_alive_rank(payload: dict) -> None:
+    payload["rank"][1] = payload["rank"][0]
+
+
+def labels_on_dead_vertex(payload: dict) -> None:
+    payload["labels"][7] = [[6, 1]]  # vertex 7 failed before the build
+
+
+CORRUPTIONS = [
+    ("labels", truncated_labels),
+    ("labels", out_of_range_hub),
+    ("rank", duplicate_alive_rank),
+    ("labels", labels_on_dead_vertex),
+]
+
+
 class TestCachedBuild:
     def test_cache_round_trip_same_answers(self, engine, tmp_path):
         from repro.parallel.cache import ResultCache
@@ -351,7 +376,38 @@ class TestCachedBuild:
         assert warm.verify()
 
     def test_unknown_family_rejected(self, engine):
-        from repro.exceptions import AlgorithmError
-
         with pytest.raises(AlgorithmError):
             build_index(engine, family="no-such-index")
+
+    @pytest.mark.parametrize("field,corrupt", CORRUPTIONS,
+                             ids=[c.__name__ for _, c in CORRUPTIONS])
+    def test_from_payload_names_the_bad_field(self, engine, field, corrupt):
+        engine.fail_node(7)
+        payload = HubLabelIndex.build(engine).to_payload()
+        corrupt(payload)
+        with pytest.raises(AlgorithmError, match=f"'{field}'"):
+            HubLabelIndex.from_payload(payload)
+
+    @pytest.mark.parametrize("field,corrupt", CORRUPTIONS,
+                             ids=[c.__name__ for _, c in CORRUPTIONS])
+    def test_corrupt_cache_entry_is_rebuilt(self, engine, tmp_path, field,
+                                            corrupt):
+        from repro.parallel.cache import ResultCache
+
+        engine.fail_node(7)
+        cache = ResultCache(tmp_path)
+        fresh = build_index(engine, cache=cache).to_payload()
+        (path,) = tmp_path.glob("*/*.json")
+        entry = json.loads(path.read_text())
+        corrupt(entry["value"])
+        path.write_text(json.dumps(entry))
+        rejects = get_registry().snapshot()["counters"].get(
+            "serving.index.cache_rejects", 0
+        )
+        index = build_index(engine, cache=cache)
+        assert index.verify()
+        assert index.to_payload() == fresh
+        assert json.loads(path.read_text())["value"] == fresh
+        assert get_registry().snapshot()["counters"][
+            "serving.index.cache_rejects"
+        ] == rejects + 1
