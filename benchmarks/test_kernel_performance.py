@@ -14,7 +14,8 @@ from repro.core.coverage import CoverageOracle
 from repro.core.domination import dominated_matrix
 from repro.core.greedy import lazy_greedy_max_coverage
 from repro.core.maxsg import maxsg
-from repro.graph.csr import batched_hop_reach, bfs_levels
+from repro.graph.bitset import bitset_hop_reach
+from repro.graph.csr import bfs_levels
 
 pytestmark = pytest.mark.slow
 
@@ -33,10 +34,10 @@ def test_bfs_single_source(benchmark, graph):
     benchmark(bfs_levels, graph.adj, 0)
 
 
-def test_batched_hop_reach_256_sources(benchmark, graph):
+def test_bitset_hop_reach_256_sources(benchmark, graph):
     mat = graph.adj.to_scipy()
     sources = np.arange(min(256, graph.num_nodes))
-    benchmark(batched_hop_reach, mat, sources, 4)
+    benchmark(bitset_hop_reach, mat, sources, 4)
 
 
 def test_coverage_oracle_sweep(benchmark, graph):

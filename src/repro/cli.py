@@ -39,12 +39,32 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 
 from repro.datasets.loader import available_scales, load_internet
 from repro.datasets.stats import summarize
 from repro.exceptions import ReproError
 from repro.graph.io import load_graph, save_graph
+
+
+def _positive(kind):
+    """argparse type: a finite ``kind`` (``int`` or ``float``) above 0."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and above 0, got {text}"
+            )
+        return value
+
+    return parse
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -165,13 +185,22 @@ def _cmd_ledger_report(args: argparse.Namespace) -> int:
             f"experiment(s), {len(document['kernels'])} kernel metric(s)) "
             f"to {args.export}"
         )
-    if args.check and check is not None and not check.ok:
-        print(
-            f"error: {len(check.regressions)} regression(s) detected",
-            file=sys.stderr,
+    for lineno, reason in ledger.skipped:
+        print(f"warning: skipped ledger line {lineno}: {reason}", file=sys.stderr)
+    if not args.check:
+        return 0
+    errors = []
+    if ledger.skipped:
+        # A skipped line may be the very record the gate should judge.
+        errors.append(
+            f"{len(ledger.skipped)} unreadable ledger line(s): "
+            + ", ".join(f"line {lineno}" for lineno, _ in ledger.skipped)
         )
-        return 1
-    return 0
+    if not check.ok:
+        errors.append(f"{len(check.regressions)} regression(s) detected")
+    for message in errors:
+        print(f"error: {message}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1088,7 +1117,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling seeds (fig2b; default: the graph seed)")
     p.add_argument("--budgets", type=int, nargs="*", default=None,
                    help="broker budgets (default: the paper's three)")
-    p.add_argument("--num-sources", type=int, default=None,
+    p.add_argument("--num-sources", type=_positive(int), default=None,
                    help="connectivity sample size (default: exact)")
     p.add_argument("--top", type=int, default=10,
                    help="ranked rows per cell (table5)")
@@ -1114,7 +1143,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "[:BURN]' or 'availability:NAME:TARGET[:BURN]' "
                             "(repeatable; default: p99<250ms@0.99 + "
                             "availability@0.999)")
-        p.add_argument("--slo-window", type=float, default=60.0,
+        p.add_argument("--slo-window", type=_positive(float), default=60.0,
                        help="sliding-window horizon in seconds for rolling "
                             "stats and SLO burn rates (default 60)")
 
@@ -1122,7 +1151,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hub-label serving tier: loadgen run or TCP "
                             "query endpoint")
     _add_serving_flags(p)
-    p.add_argument("--queries", type=int, default=1000,
+    p.add_argument("--queries", type=_positive(int), default=1000,
                    help="closed-loop loadgen query count (default 1000)")
     p.add_argument("--port", type=int, default=None,
                    help="serve JSON-lines queries on this TCP port "

@@ -7,10 +7,11 @@ limit as ``l`` grows (i.e., plain reachability inside the dominated graph).
 The free-path curve of the underlying topology (``B = V``) is obtained by
 passing ``brokers=None``.
 
-Exact computation is one BFS per vertex; the engine batches sources into
-dense blocks so each hop level is a single ``sparse @ dense`` product, and
-supports uniform source sampling with identical semantics for the larger
-scales.  Saturated connectivity is always exact (connected components).
+Exact computation is one BFS per vertex; the bit-parallel kernel
+(:func:`repro.graph.bitset.bitset_hop_reach`) runs 512 sources per batch
+in the bit columns of a block array and counts each hop with popcounts.
+Uniform source sampling has identical semantics for the larger scales.
+Saturated connectivity is always exact (connected components).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.core.domination import dominated_matrix
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
 from repro.graph.bitset import bitset_hop_reach
-from repro.graph.csr import batched_hop_reach, connected_components
+from repro.graph.csr import connected_components
 from repro.obs import profiled
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -97,8 +98,6 @@ def connectivity_curve(
     max_hops: int = 8,
     num_sources: int | None = None,
     seed: SeedLike = 0,
-    batch_size: int = 256,
-    backend: str | None = None,
 ) -> ConnectivityCurve:
     """Compute the l-hop E2E connectivity curve for ``brokers``.
 
@@ -112,23 +111,20 @@ def connectivity_curve(
     num_sources:
         ``None`` = every vertex (exact).  Otherwise BFS sources are drawn
         uniformly without replacement and the pair fractions are unbiased
-        estimates (each source contributes its exact reach counts).
-    backend:
-        Kernel backend (``repro.core.registry.resolve_backend``
-        semantics).  ``"bitset"`` runs the BFS bit-parallel and counts
-        per-hop totals directly; the integer sums — hence the returned
-        fractions — are bit-identical to the python path.  Saturated
-        connectivity always goes through the SciPy connected-components
-        path (already C-speed), whatever the backend.
-    """
-    from repro.core.registry import resolve_backend
+        estimates (each source contributes its exact reach counts); at
+        least one source is required.
 
+    The per-hop totals are integer sums, so the fractions are exact
+    whatever the batching.  Saturated connectivity goes through SciPy's
+    connected components.
+    """
     n = graph.num_nodes
     if n < 2:
         raise AlgorithmError("connectivity requires at least two vertices")
     if max_hops < 1:
         raise AlgorithmError(f"max_hops must be >= 1, got {max_hops}")
-    resolved = resolve_backend(backend)
+    if num_sources is not None and num_sources < 1:
+        raise AlgorithmError(f"num_sources must be >= 1, got {num_sources}")
     mat = _effective_matrix(graph, brokers)
     if num_sources is None or num_sources >= n:
         sources = np.arange(n)
@@ -137,16 +133,8 @@ def connectivity_curve(
         rng = ensure_rng(seed)
         sources = rng.choice(n, size=num_sources, replace=False)
         exact = False
-    if resolved == "bitset":
-        totals = bitset_hop_reach(
-            mat, sources, max_hops, batch_size=max(batch_size, 512),
-            aggregate=True,
-        )
-        per_level = totals / (len(sources) * (n - 1))
-    else:
-        counts = batched_hop_reach(mat, sources, max_hops, batch_size=batch_size)
-        # counts[i, l-1] = vertices within l hops of sources[i], excluding it.
-        per_level = counts.sum(axis=0) / (len(sources) * (n - 1))
+    totals = bitset_hop_reach(mat, sources, max_hops, aggregate=True)
+    per_level = totals / (len(sources) * (n - 1))
     return ConnectivityCurve(
         fractions=per_level.astype(np.float64),
         saturated=saturated_connectivity(graph, brokers, matrix=mat),

@@ -212,7 +212,6 @@ class BrokerSelector:
         max_hops: int = 8,
         num_sources: int | None = None,
         seed: SeedLike = 0,
-        backend: str | None = None,
     ):
         """l-hop connectivity curve (delegates to the engine)."""
         return connectivity_curve(
@@ -221,5 +220,4 @@ class BrokerSelector:
             max_hops=max_hops,
             num_sources=num_sources,
             seed=seed,
-            backend=backend,
         )

@@ -86,7 +86,6 @@ def run_fig2b(config: ExperimentConfig) -> ExperimentResult:
     free = connectivity_curve(
         graph, None, max_hops=config.max_hops,
         num_sources=config.num_sources, seed=config.seed,
-        backend=kernel_backend,
     )
     rows = []
     curves = {"ASesWithIXPs": free}
@@ -98,7 +97,6 @@ def run_fig2b(config: ExperimentConfig) -> ExperimentResult:
         curve = connectivity_curve(
             graph, brokers, max_hops=config.max_hops,
             num_sources=config.num_sources, seed=config.seed,
-            backend=kernel_backend,
         )
         curves[name] = curve
         cells = [name, len(brokers)]
@@ -137,7 +135,6 @@ def _fig2b_cell(task: dict) -> dict:
         max_hops=task["max_hops"],
         num_sources=task["num_sources"],
         seed=task["seed"],
-        backend=task.get("kernel_backend", "python"),
     )
     return {
         "fractions": [float(f) for f in curve.fractions],

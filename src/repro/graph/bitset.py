@@ -10,12 +10,11 @@ equivalent *block* form is a little-endian ``uint64`` array of
 instead of O(n) python objects, which is what lets the coverage and
 connectivity kernels treat the full 52,079-node topology as routine.
 
-:func:`bitset_hop_reach` is the bit-parallel twin of
-:func:`repro.graph.csr.batched_hop_reach`: each BFS batch packs up to
-``batch_size`` sources into the *bit columns* of a ``(words, n)`` visited
-array, so one hop for the whole batch is a gather + segmented OR over the
-CSR rows instead of a ``sparse @ dense`` float product.  Counts are
-exactly equal to the reference — the differential suite pins this.
+:func:`bitset_hop_reach` is the library's multi-source BFS: each batch
+packs up to ``batch_size`` sources into the *bit columns* of a
+``(words, n)`` visited array, so one hop for the whole batch is a gather +
+segmented OR over the CSR rows.  Its counts equal a ``sparse @ dense``
+reference BFS exactly — the differential suite pins this.
 """
 
 from __future__ import annotations
@@ -140,13 +139,16 @@ def bitset_hop_reach(
     batch_size: int = 512,
     aggregate: bool = False,
 ) -> np.ndarray:
-    """Bit-parallel twin of :func:`repro.graph.csr.batched_hop_reach`.
+    """Count vertices reachable within ``1..max_hops`` hops of each source.
 
-    Returns the same ``(len(sources), max_hops)`` cumulative reach counts
-    (excluding the source itself), computed with one bit column per
-    source: a hop for a whole batch is a per-word gather + segmented OR
-    over the transposed CSR rows, and new vertices are counted with
-    hardware popcounts instead of boolean sums.
+    Returns an array of shape ``(len(sources), max_hops)`` where entry
+    ``[i, l-1]`` is the number of vertices (excluding the source itself)
+    whose hop distance from ``sources[i]`` is **at most** ``l``.
+    ``matrix`` may be asymmetric (directed policies); ``matrix[u, v] !=
+    0`` means ``u -> v`` is traversable.  The BFS runs with one bit
+    column per source: a hop for a whole batch is a per-word gather +
+    segmented OR over the transposed CSR rows, and new vertices are
+    counted with hardware popcounts.
 
     ``aggregate=True`` returns only the per-hop *totals* — shape
     ``(max_hops,)``, equal to ``counts.sum(axis=0)`` — skipping the
@@ -158,10 +160,10 @@ def bitset_hop_reach(
         raise ValueError(f"max_hops must be >= 1, got {max_hops}")
     n = matrix.shape[0]
     sources = np.asarray(sources, dtype=np.int64)
-    _metrics.add_counter("kernel.bitset_bfs.runs")
-    _metrics.add_counter("kernel.bitset_bfs.sources", len(sources))
-    # Propagate along in-edges of the reach relation, exactly like the
-    # reference's ``A^T @ X``: matrix[u, v] != 0 means u -> v.
+    _metrics.add_counter("kernel.batched_bfs.runs")
+    _metrics.add_counter("kernel.batched_bfs.sources", len(sources))
+    # Propagate along in-edges of the reach relation (``A^T @ X``):
+    # matrix[u, v] != 0 means u -> v.
     mat_t = matrix.T.tocsr()
     indptr = mat_t.indptr.astype(np.int64)
     indices = mat_t.indices.astype(np.int64)

@@ -5,13 +5,17 @@ scale to the paper's 52,079-node topology — coverage evaluation, dominated-
 graph connectivity, hop-distance sampling — runs on these kernels rather
 than on per-node Python loops.
 
-Two complementary BFS implementations are provided:
+Two single-source BFS kernels are provided:
 
-* :func:`bfs_levels` — single-source frontier BFS over the raw CSR arrays;
-  cheap for a handful of sources and returns exact hop distances.
-* :func:`batched_hop_reach` — multi-source BFS expressed as sparse-matrix /
-  dense-matrix products (one product per hop level), which lets NumPy and
-  SciPy do the heavy lifting in C for hundreds of sources at once.
+* :func:`bfs_levels` — frontier BFS over the raw CSR arrays; cheap for a
+  handful of sources and returns exact hop distances.
+* :func:`bfs_parents` — SciPy's C breadth-first search, returning the
+  first-discoverer predecessor of every vertex (Algorithm 2's stitching
+  and the shortest-path helpers walk these).
+
+Multi-source hop counting lives in
+:func:`repro.graph.bitset.bitset_hop_reach`, which runs hundreds of BFS
+sources at once in the bit columns of a block array.
 """
 
 from __future__ import annotations
@@ -36,6 +40,13 @@ class CSRAdjacency:
     ``indptr`` has length ``n + 1``; the neighbours of vertex ``v`` are
     ``indices[indptr[v]:indptr[v + 1]]``.  For undirected graphs every edge
     is stored in both directions.
+
+    Invariant: every neighbour list is strictly increasing (sorted, no
+    duplicates, no self-loops).  :func:`build_csr` guarantees it, and the
+    shared-memory copy in :mod:`repro.parallel.shm` copies a built one.
+    :func:`bfs_parents` relies on it: SciPy sorts rows before searching,
+    so its first-discoverer parents match a scan in stored order only
+    when the stored order is already sorted.
     """
 
     indptr: np.ndarray
@@ -243,74 +254,21 @@ def bfs_parents(adj: CSRAdjacency, source: int) -> np.ndarray:
 
     Following parents from any vertex back to ``source`` walks a shortest
     path; Algorithm 2 uses this to stitch pre-selected brokers together.
+    SciPy's C search is a FIFO queue that scans each dequeued vertex's
+    row in order and keeps the first discoverer: the parent of ``v`` is
+    its earliest-dequeued neighbour.  SciPy sorts rows before searching,
+    so the queue order is the stored order only under the sorted-rows
+    invariant of :class:`CSRAdjacency`.
     """
     n = adj.num_vertices
-    parent = np.full(n, -1, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    visited[source] = True
-    frontier = [source]
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for v in adj.neighbors(u):
-                if not visited[v]:
-                    visited[v] = True
-                    parent[v] = u
-                    nxt.append(int(v))
-        frontier = nxt
+    if not 0 <= source < n:
+        raise GraphValidationError(f"source {source} out of range [0, {n})")
+    _, parent = csgraph.breadth_first_order(
+        adj.to_scipy(), source, directed=True, return_predecessors=True
+    )
+    parent = parent.astype(np.int64)
+    parent[parent < 0] = -1  # SciPy's null predecessor is -9999
     return parent
-
-
-def batched_hop_reach(
-    matrix: sparse.csr_matrix,
-    sources: np.ndarray,
-    max_hops: int,
-    *,
-    batch_size: int = 256,
-) -> np.ndarray:
-    """Count vertices reachable within ``1..max_hops`` hops of each source.
-
-    Returns an array of shape ``(len(sources), max_hops)`` where entry
-    ``[i, l-1]`` is the number of vertices (excluding the source itself)
-    whose hop distance from ``sources[i]`` is **at most** ``l``.
-
-    The BFS level expansion for a whole batch of sources is a single
-    ``sparse @ dense`` product per hop, so the Python-level loop count is
-    ``max_hops * ceil(len(sources) / batch_size)`` regardless of graph size.
-    ``matrix`` may be asymmetric (directed policies); rows are interpreted
-    as "reaches": ``matrix[u, v] != 0`` means ``u -> v`` is traversable.
-    """
-    if max_hops < 1:
-        raise ValueError(f"max_hops must be >= 1, got {max_hops}")
-    n = matrix.shape[0]
-    sources = np.asarray(sources, dtype=np.int64)
-    _metrics.add_counter("kernel.batched_bfs.runs")
-    _metrics.add_counter("kernel.batched_bfs.sources", len(sources))
-    counts = np.zeros((len(sources), max_hops), dtype=np.int64)
-    # Propagation uses A^T columns: reach step is frontier_next = A^T applied
-    # to frontier when frontiers are column vectors; with row-major dense
-    # blocks it is cleaner to propagate X <- A^T @ X where X[:, j] is the
-    # visited indicator of source j.  For symmetric matrices this equals A.
-    mat_t = matrix.T.tocsr()
-    for start in range(0, len(sources), batch_size):
-        batch = sources[start : start + batch_size]
-        b = len(batch)
-        visited = np.zeros((n, b), dtype=bool)
-        visited[batch, np.arange(b)] = True
-        frontier = visited.copy()
-        for hop in range(max_hops):
-            if not frontier.any():
-                # Saturated: remaining hop columns repeat the last count.
-                counts[start : start + b, hop:] = counts[
-                    start : start + b, hop - 1 : hop
-                ]
-                break
-            reached = mat_t @ frontier.astype(np.float32)
-            new = (reached > 0) & ~visited
-            visited |= new
-            counts[start : start + b, hop] = visited.sum(axis=0) - 1
-            frontier = new
-    return counts
 
 
 def connected_components(matrix: sparse.csr_matrix) -> tuple[int, np.ndarray]:

@@ -20,7 +20,9 @@ Design points:
   record is self-verifying and export/import round-trips are
   bit-identical (:meth:`Ledger.export`).
 * **Crash-tolerant reads** — a torn final line (power loss mid-write on
-  a non-POSIX filesystem) is skipped, not fatal.
+  a non-POSIX filesystem) is skipped, not fatal, and every skipped line
+  is recorded with its line number and reason (:attr:`Ledger.skipped`)
+  so a regression gate can refuse to pass over it.
 
 The default ledger lives at ``.repro/ledger.jsonl``; override with the
 ``REPRO_LEDGER`` environment variable or an explicit path.
@@ -175,6 +177,10 @@ class RunRecord:
                 self.graph_digest)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def now() -> float:
     """Wall-clock timestamp for fresh records (unix seconds)."""
     return round(time.time(), 6)
@@ -185,6 +191,8 @@ class Ledger:
 
     def __init__(self, path: str | Path | None = None) -> None:
         self._path = Path(path) if path is not None else default_ledger_path()
+        #: ``(line number, reason)`` of each line the latest read skipped.
+        self.skipped: list[tuple[int, str]] = []
 
     @property
     def path(self) -> Path:
@@ -222,10 +230,12 @@ class Ledger:
     def read_dicts(self, *, strict: bool = False) -> list[dict]:
         """Every parseable record line, in file order.
 
-        Corrupt lines (torn writes, foreign content) and records with a
-        newer schema are skipped unless ``strict`` is set, in which case
-        they raise :class:`~repro.exceptions.ReproError`.
+        Corrupt lines (torn writes, foreign content, a non-integer
+        ``schema``) and records with a newer schema are skipped and
+        listed in :attr:`skipped` unless ``strict`` is set, in which case
+        the first one raises :class:`~repro.exceptions.ReproError`.
         """
+        self.skipped = []
         if not self._path.exists():
             return []
         out: list[dict] = []
@@ -235,28 +245,28 @@ class Ledger:
             line = line.strip()
             if not line:
                 continue
+            reason = None
             try:
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
-                if strict:
-                    raise ReproError(
-                        f"corrupt ledger line {lineno} in {self._path}: {exc}"
-                    ) from exc
-                continue
-            if not isinstance(data, dict):
-                if strict:
-                    raise ReproError(
-                        f"ledger line {lineno} in {self._path} is not an object"
+                reason = f"not JSON ({exc})"
+            else:
+                if not isinstance(data, dict):
+                    reason = "not a JSON object"
+                elif not _is_int(schema := data.get("schema", 0)):
+                    reason = f"schema {schema!r} is not an integer"
+                elif schema > LEDGER_SCHEMA_VERSION:
+                    reason = (
+                        f"schema {schema} is newer than {LEDGER_SCHEMA_VERSION}"
                     )
+            if reason is None:
+                out.append(data)
                 continue
-            if int(data.get("schema", 0)) > LEDGER_SCHEMA_VERSION:
-                if strict:
-                    raise ReproError(
-                        f"ledger line {lineno} has schema "
-                        f"{data.get('schema')} > {LEDGER_SCHEMA_VERSION}"
-                    )
-                continue
-            out.append(data)
+            if strict:
+                raise ReproError(
+                    f"corrupt ledger line {lineno} in {self._path}: {reason}"
+                )
+            self.skipped.append((lineno, reason))
         return out
 
     def records(self, *, strict: bool = False) -> list[RunRecord]:

@@ -11,7 +11,9 @@ certifies, on every one of them:
 * the two :class:`DominationEngine` backends agree on every marginal
   gain, the covered mask and coverage counts through add/remove cycles —
   with ``engine.verify()`` as the from-scratch oracle;
-* connectivity curves (exact and source-sampled) are float-identical.
+* connectivity curves (exact and source-sampled), which always run on
+  the bit-parallel kernel, are float-identical to the dense-product
+  reference in :mod:`tests.oracles.connectivity`.
 """
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro.core.greedy import greedy_max_coverage, lazy_greedy_max_coverage
 from repro.core.maxsg import maxsg
 from repro.core.registry import all_specs, run_algorithm
 from tests.core.test_differential import random_graphs
+from tests.oracles.connectivity import curve_fractions, saturated_fraction
 
 BACKENDS = ("python", "bitset")
 
@@ -111,14 +114,12 @@ class TestConnectivityAcrossBackends:
     def test_exact_curves_identical(self, graph, max_hops):
         brokers = maxsg(graph, min(4, graph.num_nodes))
         for broker_set in (None, brokers):
-            curves = [
-                connectivity_curve(
-                    graph, broker_set, max_hops=max_hops, backend=b
-                )
-                for b in BACKENDS
-            ]
-            assert np.array_equal(curves[0].fractions, curves[1].fractions)
-            assert curves[0].saturated == curves[1].saturated
+            curve = connectivity_curve(graph, broker_set, max_hops=max_hops)
+            assert np.array_equal(
+                curve.fractions,
+                curve_fractions(graph, broker_set, max_hops=max_hops),
+            )
+            assert curve.saturated == saturated_fraction(graph, broker_set)
 
     @given(
         random_graphs(min_nodes=10, max_nodes=200, max_edges=400),
@@ -129,12 +130,13 @@ class TestConnectivityAcrossBackends:
         """Source sampling draws from the same rng either way, so sampled
         curves must match float-for-float too."""
         num_sources = max(2, graph.num_nodes // 3)
-        curves = [
-            connectivity_curve(
-                graph, None, max_hops=4, num_sources=num_sources,
-                seed=seed, backend=b,
-            )
-            for b in BACKENDS
-        ]
-        assert np.array_equal(curves[0].fractions, curves[1].fractions)
-        assert curves[0].num_sources == curves[1].num_sources
+        curve = connectivity_curve(
+            graph, None, max_hops=4, num_sources=num_sources, seed=seed,
+        )
+        assert np.array_equal(
+            curve.fractions,
+            curve_fractions(
+                graph, None, max_hops=4, num_sources=num_sources, seed=seed
+            ),
+        )
+        assert curve.num_sources == num_sources

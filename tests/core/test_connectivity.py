@@ -84,6 +84,11 @@ class TestCurve:
         with pytest.raises(AlgorithmError):
             connectivity_curve(ASGraph.from_edges(1, []), None)
 
+    @pytest.mark.parametrize("num_sources", [0, -3])
+    def test_num_sources_below_one_rejected(self, path10, num_sources):
+        with pytest.raises(AlgorithmError, match="num_sources"):
+            connectivity_curve(path10, None, num_sources=num_sources)
+
     def test_connectivity_at_shortcut(self, star10):
         assert connectivity_at(star10, [0], 2) == pytest.approx(1.0)
 

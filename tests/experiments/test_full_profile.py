@@ -1,19 +1,21 @@
 """Full-scale (52k-node) end-to-end checks, gated behind REPRO_TEST_FULL=1.
 
 The bitset backend's reason to exist is making the ``full`` profile
-routine; these tests certify it *at that scale* — table1 end-to-end and a
-source-sampled fig2b-style connectivity comparison must render/compute
-bit-identically under both backends.  Everything here is ``slow``-marked
-and skips unless the session opted in, so the tier-1 suite stays fast.
+routine; these tests certify it *at that scale* — table1 must render
+bit-identically under both backends, and a source-sampled fig2b-style
+connectivity curve on the bit-parallel kernel must equal the
+dense-product reference.  Everything here is ``slow``-marked and skips
+unless the session opted in, so the tier-1 suite stays fast.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.connectivity import connectivity_curve
+from repro.core.connectivity import connectivity_curve, saturated_connectivity
 from repro.core.maxsg import maxsg
 from repro.experiments import run_experiment
 from repro.experiments.config import ExperimentConfig
+from tests.oracles.connectivity import curve_fractions
 
 pytestmark = pytest.mark.slow
 
@@ -50,22 +52,16 @@ class TestFullProfileTable1:
 
 class TestFullProfileConnectivity:
     def test_sampled_curves_bit_identical(self, full_internet, full_brokers):
-        curves = {
-            backend: connectivity_curve(
-                full_internet,
-                full_brokers,
-                max_hops=8,
-                num_sources=SAMPLED_SOURCES,
-                seed=1,
-                backend=backend,
-            )
-            for backend in ("python", "bitset")
-        }
+        kwargs = dict(max_hops=8, num_sources=SAMPLED_SOURCES, seed=1)
+        curve = connectivity_curve(full_internet, full_brokers, **kwargs)
         assert np.array_equal(
-            curves["python"].fractions, curves["bitset"].fractions
+            curve.fractions,
+            curve_fractions(full_internet, full_brokers, **kwargs),
         )
-        assert curves["python"].saturated == curves["bitset"].saturated
-        assert curves["bitset"].num_sources == SAMPLED_SOURCES
+        assert curve.saturated == saturated_connectivity(
+            full_internet, full_brokers
+        )
+        assert curve.num_sources == SAMPLED_SOURCES
 
     def test_maxsg_selection_identical(self, full_internet, full_brokers):
         budget = max(1, round(0.019 * full_internet.num_nodes))

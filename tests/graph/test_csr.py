@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GraphValidationError
+from repro.graph.bitset import bitset_hop_reach
 from repro.graph.csr import (
     UNREACHABLE,
-    batched_hop_reach,
     bfs_levels,
     bfs_parents,
     build_csr,
@@ -118,11 +118,17 @@ class TestBFSParents:
         parent = bfs_parents(adj, 0)
         assert parent[2] == -1
 
+    def test_source_out_of_range(self):
+        adj = _path_csr(3)
+        for source in (3, -1):
+            with pytest.raises(GraphValidationError):
+                bfs_parents(adj, source)
+
 
 class TestBatchedHopReach:
     def test_path_graph_counts(self):
         adj = _path_csr(5)
-        counts = batched_hop_reach(adj.to_scipy(), np.array([0]), 4)
+        counts = bitset_hop_reach(adj.to_scipy(), np.array([0]), 4)
         assert counts[0].tolist() == [1, 2, 3, 4]
 
     def test_matches_bfs_levels(self, rng):
@@ -132,7 +138,7 @@ class TestBatchedHopReach:
         keep = src != dst
         adj = build_csr(n, src[keep], dst[keep])
         sources = np.arange(n)
-        counts = batched_hop_reach(adj.to_scipy(), sources, 6)
+        counts = bitset_hop_reach(adj.to_scipy(), sources, 6)
         for s in sources:
             dist = bfs_levels(adj, int(s))
             for hop in range(1, 7):
@@ -141,7 +147,7 @@ class TestBatchedHopReach:
 
     def test_saturation_fills_remaining_hops(self):
         adj = _path_csr(3)
-        counts = batched_hop_reach(adj.to_scipy(), np.array([0]), 8)
+        counts = bitset_hop_reach(adj.to_scipy(), np.array([0]), 8)
         assert counts[0].tolist() == [1, 2, 2, 2, 2, 2, 2, 2]
 
     def test_batching_equivalence(self, rng):
@@ -151,20 +157,20 @@ class TestBatchedHopReach:
         keep = src != dst
         adj = build_csr(n, src[keep], dst[keep]).to_scipy()
         sources = np.arange(n)
-        a = batched_hop_reach(adj, sources, 4, batch_size=3)
-        b = batched_hop_reach(adj, sources, 4, batch_size=64)
+        a = bitset_hop_reach(adj, sources, 4, batch_size=3)
+        b = bitset_hop_reach(adj, sources, 4, batch_size=64)
         assert np.array_equal(a, b)
 
     def test_directed_matrix(self):
         adj = build_csr(3, np.array([0, 1]), np.array([1, 2]), symmetric=False)
-        counts = batched_hop_reach(adj.to_scipy(), np.array([0, 2]), 3)
+        counts = bitset_hop_reach(adj.to_scipy(), np.array([0, 2]), 3)
         assert counts[0].tolist() == [1, 2, 2]  # 0 -> 1 -> 2
         assert counts[1].tolist() == [0, 0, 0]  # 2 has no out-edges
 
     def test_invalid_max_hops(self):
         adj = _path_csr(3)
         with pytest.raises(ValueError):
-            batched_hop_reach(adj.to_scipy(), np.array([0]), 0)
+            bitset_hop_reach(adj.to_scipy(), np.array([0]), 0)
 
 
 class TestComponents:

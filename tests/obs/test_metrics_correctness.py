@@ -8,7 +8,8 @@ counts on a 5-node star.
 
 from repro.core.coverage import coverage_value
 from repro.core.greedy import greedy_max_coverage, lazy_greedy_max_coverage
-from repro.graph.csr import batched_hop_reach, bfs_levels
+from repro.graph.bitset import bitset_hop_reach
+from repro.graph.csr import bfs_levels
 from repro.graph.generators import path_graph, star_graph
 from repro.obs import get_registry
 from repro.parallel.cache import ResultCache
@@ -68,7 +69,7 @@ class TestBfsCounts:
     def test_batched_bfs_counts_sources(self, path10):
         before_runs = counter("kernel.batched_bfs.runs")
         before_sources = counter("kernel.batched_bfs.sources")
-        batched_hop_reach(path10.adj.to_scipy(), [0, 4, 9], 3)
+        bitset_hop_reach(path10.adj.to_scipy(), [0, 4, 9], 3)
         assert counter("kernel.batched_bfs.runs") - before_runs == 1
         assert counter("kernel.batched_bfs.sources") - before_sources == 3
 

@@ -1,0 +1,6 @@
+"""Reference implementations the differential tests compare against.
+
+Each module keeps the plain per-vertex (or per-hop dense) loop that a
+vectorized kernel in ``src/`` replaced.  Tests require bit-identical
+results between the two; nothing in ``src/`` imports from here.
+"""

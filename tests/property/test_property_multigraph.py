@@ -5,13 +5,14 @@ algorithm, run over ``simplify()``'s projection, is **bit-identical** to
 running it directly on the equivalent simple :class:`ASGraph` built the
 historical way (``ASGraph.from_edges``).  Hypothesis generates random
 attributed multigraphs (random simple base + random parallel instances,
-≤ 200 nodes) and certifies, on both the ``python`` and ``bitset`` kernel
-backends:
+≤ 200 nodes) and certifies:
 
 * domination (covered mask, dominated adjacency) agrees exactly;
-* connectivity curves are float-identical;
+* connectivity curves are float-identical, and equal to the dense-product
+  reference curve;
 * greedy selection returns the identical broker sequence;
-* a :class:`DominationEngine` over either graph stays in lockstep
+* a :class:`DominationEngine` over either graph, on both the ``python``
+  and ``bitset`` kernel backends, stays in lockstep
   through randomized mutation interleavings (add/remove broker, fail/
   restore node, cut/restore link), with ``verify()`` as the oracle; an
   illegal mutation must raise the same error on both sides.
@@ -29,6 +30,7 @@ from repro.exceptions import ReproError
 from repro.graph.asgraph import ASGraph, EdgeAttributes
 from repro.graph.multigraph import MultiGraph
 from repro.types import LinkKind
+from tests.oracles.connectivity import curve_fractions
 
 BACKENDS = ("python", "bitset")
 
@@ -136,15 +138,17 @@ class TestAlgorithmsBitIdentical:
     @given(multigraph_and_brokers())
     @settings(max_examples=20, deadline=None)
     def test_connectivity_curve_identical_both_backends(self, case):
+        """The curve runs one kernel whatever the backend: it must agree
+        on both graphs and with the dense-product reference."""
         mg, simple, brokers = case
         projected = mg.simplify().graph
-        for backend in BACKENDS:
-            a = connectivity_curve(
-                projected, brokers, max_hops=4, backend=backend
-            )
-            b = connectivity_curve(simple, brokers, max_hops=4, backend=backend)
-            np.testing.assert_array_equal(a.fractions, b.fractions)
-            assert a.saturated == b.saturated
+        a = connectivity_curve(projected, brokers, max_hops=4)
+        b = connectivity_curve(simple, brokers, max_hops=4)
+        np.testing.assert_array_equal(a.fractions, b.fractions)
+        np.testing.assert_array_equal(
+            a.fractions, curve_fractions(simple, brokers, max_hops=4)
+        )
+        assert a.saturated == b.saturated
 
     @given(random_multigraphs(), st.integers(1, 6))
     @settings(max_examples=20, deadline=None)

@@ -168,7 +168,7 @@ class TestDirectionalSemantics:
         )
         # exact reachable ordered pairs under the SLA-endpoint model:
         # every pair within 2 hops is reachable (first + last hop free).
-        from repro.graph.csr import batched_hop_reach
+        from tests.oracles.bfs import batched_hop_reach
 
         two_hop = batched_hop_reach(g.adj.to_scipy(), np.arange(5), 2)[:, 1].sum()
         assert curve.at(4) * 20 >= two_hop - 1e-9

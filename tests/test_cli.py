@@ -355,6 +355,66 @@ class TestLedgerCommands:
         assert code == 0
         assert "Table 2" in capsys.readouterr().out
 
+    def _gate(self, path, lines, capsys):
+        """``report --check`` over one good record plus ``lines``."""
+        from repro.obs.ledger import Ledger, RunRecord
+
+        Ledger(path).append(RunRecord(experiment="table1", scale="tiny"))
+        with path.open("a") as handle:
+            handle.writelines(line + "\n" for line in lines)
+        capsys.readouterr()
+        code = main(["report", "--ledger", str(path), "--check"])
+        return code, capsys.readouterr().err
+
+    def test_report_check_fails_on_torn_last_line(self, tmp_path, capsys):
+        code, err = self._gate(
+            tmp_path / "l.jsonl", ['{"experiment": "table1", "cove'], capsys
+        )
+        assert code == 1
+        assert "line 2: not JSON" in err
+        assert "1 unreadable ledger line(s): line 2" in err
+
+    def test_report_check_fails_on_only_corrupt_lines(self, tmp_path, capsys):
+        path = tmp_path / "l.jsonl"
+        path.write_text("not json\n[1, 2]\n")
+        capsys.readouterr()
+        code = main(["report", "--ledger", str(path), "--check"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "line 1: not JSON" in err
+        assert "line 2: not a JSON object" in err
+        assert "2 unreadable ledger line(s): line 1, line 2" in err
+
+    def test_report_check_fails_on_non_integer_schema(self, tmp_path, capsys):
+        code, err = self._gate(
+            tmp_path / "l.jsonl", ['{"experiment": "table1", "schema": "x"}'],
+            capsys,
+        )
+        assert code == 1
+        assert "line 2: schema 'x' is not an integer" in err
+        assert "Traceback" not in err
+
+    def test_report_check_fails_on_newer_schema(self, tmp_path, capsys):
+        from repro.obs.ledger import LEDGER_SCHEMA_VERSION
+
+        future = LEDGER_SCHEMA_VERSION + 1
+        code, err = self._gate(
+            tmp_path / "l.jsonl",
+            ['{"experiment": "table1", "schema": %d}' % future], capsys,
+        )
+        assert code == 1
+        assert f"line 2: schema {future} is newer" in err
+
+    def test_report_without_check_renders_past_bad_lines(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "l.jsonl"
+        self._gate(path, ["{torn"], capsys)
+        assert main(["report", "--ledger", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "table1" in captured.out
+        assert "warning: skipped ledger line 2" in captured.err
+
     def test_ledger_env_var_opts_in(self, tmp_path, capsys, monkeypatch):
         from repro.obs.ledger import LEDGER_ENV, Ledger
 
@@ -407,6 +467,26 @@ class TestLedgerCommands:
         err = capsys.readouterr().err
         assert "retrying" not in err  # warning suppressed at error level
         assert "exhausted" in err  # error-level event shown
+
+
+class TestBadCountsRejectedAtParse:
+    """Each bad count or window is one argparse ``error:`` line, exit 2."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["serve", "--queries", "-5"], "--queries"),
+        (["query", "--slo-window", "-1", "3", "9"], "--slo-window"),
+        (["sweep", "fig2b", "--num-sources", "0"], "--num-sources"),
+    ])
+    def test_rejected(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert f"argument {flag}" in errors[0]
 
 
 class TestAdmission:
