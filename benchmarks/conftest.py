@@ -32,6 +32,19 @@ def warm_graph(config):
     return config.graph()
 
 
+@pytest.fixture(scope="session")
+def small_config() -> ExperimentConfig:
+    """The ``small`` profile whatever ``REPRO_BENCH_SCALE`` says, warmed.
+
+    For benchmarks whose asserted shape is a claim about a graph of
+    paper size, which the 604-node ``tiny`` profile is too small to show.
+    """
+    seed = int(os.environ.get("REPRO_BENCH_SEED", "1"))
+    config = ExperimentConfig(scale="small", seed=seed)
+    config.graph()
+    return config
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _bench_tracing():
     """Record a JSONL span trace of the whole benchmark session.

@@ -1,11 +1,18 @@
-"""Bench F3 — Fig. 3: PageRank-gain correlation decay."""
+"""Bench F3 — Fig. 3: PageRank-gain correlation decay.
+
+Pinned to the ``small`` profile instead of honouring
+``REPRO_BENCH_SCALE``: the asserted decay is a claim about a graph of
+paper size.  On the 604-node ``tiny`` profile the two broker sets hold
+1 and 12 vertices, too few for the correlation to collapse: it only
+falls from 0.97 to 0.79.
+"""
 
 from benchmarks.conftest import run_once
 from repro.experiments import run_experiment
 
 
-def test_fig3_pagerank_correlation(benchmark, config, warm_graph):
-    result = run_once(benchmark, run_experiment, "fig3", config)
+def test_fig3_pagerank_correlation(benchmark, small_config):
+    result = run_once(benchmark, run_experiment, "fig3", small_config)
     print("\n" + result.render())
     rows = list(result.paper_values.values())
     small_corr = rows[0]["corr"]

@@ -44,7 +44,7 @@ NUM_BFS_PAIRS = 60  # the slow side samples fewer pairs, same prefix
 
 def _stack(scale: str):
     graph = load_internet(scale, seed=1)
-    brokers = maxsg(graph, max(8, graph.num_nodes // 50), backend="bitset")
+    brokers = maxsg(graph, max(8, graph.num_nodes // 50))
     engine = DominationEngine(graph, brokers)
     index = HubLabelIndex.build(engine)
     return graph, engine, index

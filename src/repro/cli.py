@@ -125,10 +125,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         return 2
     graph = load_internet(args.scale, seed=args.seed)
     selector = BrokerSelector(graph)
-    result = selector.select(
-        args.algorithm, args.budget, seed=args.seed,
-        backend=args.kernel_backend,
-    )
+    result = selector.select(args.algorithm, args.budget, seed=args.seed)
     print(result.summary())
     if args.show_brokers:
         names = [graph.name_of(b) for b in result.broker_set[: args.show_brokers]]
@@ -260,9 +257,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         run_experiment_batch,
     )
 
-    config = ExperimentConfig(
-        scale=args.scale, seed=args.seed, kernel_backend=args.kernel_backend
-    )
+    config = ExperimentConfig(scale=args.scale, seed=args.seed)
     names = list_experiments() if args.name == "all" else [args.name]
     batch = run_experiment_batch(
         names,
@@ -331,7 +326,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     graph = load_internet(args.scale, seed=args.seed)
     budget = args.budget or max(1, round(0.019 * graph.num_nodes))
     brokers = maxsg(graph, budget)
-    seeds = list(range(args.seed, args.seed + max(1, args.replicates)))
+    seeds = list(range(args.seed, args.seed + args.replicates))
     schedules = [_build_fault_schedule(graph, brokers, args, s) for s in seeds]
     policy = SlaPolicy(threshold=args.sla, repair_budget=args.repair_budget)
     from repro.obs import Timer
@@ -422,7 +417,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
             graph,
             brokers,
             kinds=kinds,
-            replicates=max(1, args.replicates),
+            replicates=args.replicates,
             seed=args.seed,
             latency=latency,
             policy=policy,
@@ -579,7 +574,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scale=args.scale,
         seed=args.seed,
         num_sources=args.num_sources,
-        kernel_backend=args.kernel_backend,
     )
     budgets = args.budgets or None
     with Timer() as timer:
@@ -973,21 +967,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_kernel_backend_flag(p: argparse.ArgumentParser) -> None:
-    """``--kernel-backend`` — which kernel implementation runs the math.
-
-    Distinct from ``--backend`` (the parallel *executor*): every kernel
-    backend returns bit-identical results, so this only changes speed.
-    Default ``None`` defers to ``$REPRO_KERNEL_BACKEND`` / ``python``.
-    """
-    from repro.core.registry import backend_names
-
-    p.add_argument("--kernel-backend", choices=backend_names(), default=None,
-                   help="kernel backend for selection/connectivity math "
-                        "(default: $REPRO_KERNEL_BACKEND or 'python'; "
-                        "results are bit-identical across backends)")
-
-
 def _add_parallel_flags(p: argparse.ArgumentParser) -> None:
     """The shared executor/cache knobs (``repro.parallel``)."""
     from repro.parallel.executor import BACKENDS
@@ -1085,11 +1064,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="run a broker-selection algorithm")
     p.add_argument("algorithm")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive(int), default=None)
     p.add_argument("--scale", choices=available_scales(), default="small")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--show-brokers", type=int, default=0)
-    _add_kernel_backend_flag(p)
     p.set_defaults(fn=_cmd_select)
 
     p = sub.add_parser("experiment", help="reproduce a paper table/figure")
@@ -1104,7 +1082,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None,
                    help="JSON checkpoint file; reruns resume past "
                         "completed experiments")
-    _add_kernel_backend_flag(p)
     _add_parallel_flags(p)
     p.set_defaults(fn=_cmd_experiment)
 
@@ -1119,11 +1096,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="broker budgets (default: the paper's three)")
     p.add_argument("--num-sources", type=_positive(int), default=None,
                    help="connectivity sample size (default: exact)")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_positive(int), default=10,
                    help="ranked rows per cell (table5)")
     p.add_argument("--pretty", action="store_true", help="indent the JSON")
     p.add_argument("--output", default=None, help="write JSON to file")
-    _add_kernel_backend_flag(p)
     _add_parallel_flags(p)
     p.set_defaults(fn=_cmd_sweep)
 
@@ -1132,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
         p.add_argument("--scale", choices=available_scales(), default="tiny")
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_positive(int), default=None,
                        help="broker-set size (default: 1.9%% of nodes)")
         p.add_argument("--index", choices=index_names(), default="hub2",
                        help="serving index family (registry-resolved)")
@@ -1220,12 +1196,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay a fault campaign + SLA self-healing")
     p.add_argument("--scale", choices=available_scales(), default="tiny")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_positive(int), default=None,
                    help="broker-set size (default: 1.9%% of nodes)")
     p.add_argument("--model", default="mixed",
                    choices=("independent", "targeted", "regional",
                             "linkcut", "flapping", "mixed"))
-    p.add_argument("--steps", type=int, default=8)
+    p.add_argument("--steps", type=_positive(int), default=8)
     p.add_argument("--crash-prob", type=float, default=0.05,
                    help="per-step crash probability (independent model)")
     p.add_argument("--radius", type=int, default=1,
@@ -1236,7 +1212,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max replacement brokers per SLA violation")
     p.add_argument("--no-heal", action="store_true",
                    help="replay the raw degradation without repairs")
-    p.add_argument("--replicates", type=int, default=1,
+    p.add_argument("--replicates", type=_positive(int), default=1,
                    help="replay this many seeded campaigns (seed, seed+1, ...)")
     _add_parallel_flags(p)
     p.set_defaults(fn=_cmd_resilience)
@@ -1248,12 +1224,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--scale", choices=available_scales(), default="tiny")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_positive(int), default=None,
                    help="broker-set size (default: 1.9%% of nodes)")
     p.add_argument("--kind", default="all",
                    choices=("all", "targeted", "regional", "linkcut"),
                    help="fault kind (default: all three)")
-    p.add_argument("--replicates", type=int, default=3,
+    p.add_argument("--replicates", type=_positive(int), default=3,
                    help="seeded outages per fault kind (seed, seed+1, ...)")
     p.add_argument("--destinations", type=int, default=6,
                    help="sampled BGP destinations (per-message state cost)")
@@ -1275,10 +1251,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--scale", choices=available_scales(), default="small")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--flows", type=int, default=250_000,
+    p.add_argument("--flows", type=_positive(int), default=250_000,
                    help="flows per load level (5 levels; default 250000 "
                         "= 1.94M offered flows)")
-    p.add_argument("--pairs", type=int, default=None,
+    p.add_argument("--pairs", type=_positive(int), default=None,
                    help="pooled dominated paths (default: nodes/8, "
                         "clamped to [32, 512])")
     p.add_argument("--ledger", default=None, metavar="FILE",

@@ -73,21 +73,8 @@ class DominationEngine:
         Optional initial broker set (duplicates are ignored).
     """
 
-    def __init__(
-        self, graph: ASGraph, brokers=(), *, backend: str = "python"
-    ) -> None:
-        if backend not in ("python", "bitset"):
-            raise AlgorithmError(
-                f"unknown engine backend {backend!r}; "
-                "choose 'python' or 'bitset'"
-            )
+    def __init__(self, graph: ASGraph, brokers=()) -> None:
         self._graph = graph
-        self._backend = backend
-        # Bitset mirror of the uncovered set (python-int mask); ``None``
-        # means dirty — rebuilt from ``_covered`` on the next probe.
-        # Only maintained while the topology is pristine (``_simple``).
-        self._uncovered_bits: int | None = None
-        self._nbhd_masks: list[int] | None = None
         n = graph.num_nodes
         self._n_base = n
         self._num_nodes = n
@@ -160,9 +147,7 @@ class DominationEngine:
             self.add_broker(int(b))
 
     @classmethod
-    def from_multigraph(
-        cls, multigraph, brokers=(), *, backend: str = "python"
-    ) -> "DominationEngine":
+    def from_multigraph(cls, multigraph, brokers=()) -> "DominationEngine":
         """Build an engine over a multigraph's **simplified view**.
 
         Domination, coverage and connectivity are parallel-edge-blind (a
@@ -171,7 +156,7 @@ class DominationEngine:
         per-edge capacities, which enables the residual-capacity state
         (:meth:`reserve` / :meth:`release`) over bundle totals.
         """
-        return cls(multigraph.simplify().graph, brokers, backend=backend)
+        return cls(multigraph.simplify().graph, brokers)
 
     # ------------------------------------------------------------------
     # Read-only views and simple queries
@@ -245,9 +230,6 @@ class DominationEngine:
         """
         self._check_vertex(v)
         if self._simple:
-            if self._backend == "bitset":
-                masks = self._bitset_masks()
-                return (masks[v] & self._fresh_uncovered_bits()).bit_count()
             neigh = self._indices[self._indptr[v] : self._indptr[v + 1]]
             gain = 0 if self._covered[v] else 1
             return gain + int(np.count_nonzero(~self._covered[neigh]))
@@ -305,8 +287,6 @@ class DominationEngine:
                 self._covered[v] = True
                 newly = np.append(fresh, v)
             self._covered_alive += len(newly)
-            if self._uncovered_bits is not None:
-                self._uncovered_bits &= ~self._bitset_masks()[v]
             if self._dsu_parent is not None and not self._dsu_dirty:
                 for u in neigh:
                     self._union(v, int(u))
@@ -345,7 +325,6 @@ class DominationEngine:
         if self._dsu_parent is not None:
             self._dsu_dirty = True
         if self._simple:
-            self._uncovered_bits = None  # coverage shrinks: mirror is dirty
             neigh = self._indices[self._indptr[v] : self._indptr[v + 1]]
             self._hits[v] -= 1
             self._hits[neigh] -= 1
@@ -383,7 +362,7 @@ class DominationEngine:
         self._check_vertex(v)
         if not self._alive[v]:
             return False
-        self._leave_simple()
+        self._simple = False
         if self._broker[v]:
             # Neighbors lose this broker's contribution.
             for u in self.alive_neighbors(v):
@@ -408,7 +387,7 @@ class DominationEngine:
         self._check_vertex(v)
         if self._alive[v]:
             return False
-        self._leave_simple()
+        self._simple = False
         self._alive[v] = True
         self._num_alive += 1
         dsu_live = self._dsu_parent is not None and not self._dsu_dirty
@@ -441,7 +420,7 @@ class DominationEngine:
         alive = self._ext_alive[eid] if is_ext else bool(self._edge_alive[eid])
         if not alive:
             return False
-        self._leave_simple()
+        self._simple = False
         if self._alive[u] and self._alive[v]:
             self._drop_edge_contribution(u, v)
             if self._dsu_parent is not None:
@@ -463,7 +442,7 @@ class DominationEngine:
         alive = self._ext_alive[eid] if is_ext else bool(self._edge_alive[eid])
         if alive:
             return False
-        self._leave_simple()
+        self._simple = False
         if is_ext:
             self._ext_alive[eid] = True
         else:
@@ -493,7 +472,7 @@ class DominationEngine:
             if alive:
                 return False
             return self.restore_link(u, v)
-        self._leave_simple()
+        self._simple = False
         eid = len(self._ext_src)
         self._ext_src.append(int(u))
         self._ext_dst.append(int(v))
@@ -510,7 +489,7 @@ class DominationEngine:
         Links to dead or unallocated neighbors are skipped, matching
         ``MutableTopology.add_node``.  Returns the new vertex id.
         """
-        self._leave_simple()
+        self._simple = False
         v = self._num_nodes
         self._ensure_capacity(v + 1)
         self._num_nodes = v + 1
@@ -881,31 +860,6 @@ class DominationEngine:
                 f"vertex {v} out of range for universe of {self._num_nodes}"
             )
 
-    def _leave_simple(self) -> None:
-        if self._simple:
-            self._simple = False
-            # The bitset mirror only models the pristine topology; the
-            # general paths fall back to the covered-mask arrays.
-            self._uncovered_bits = None
-
-    def _bitset_masks(self) -> list[int]:
-        """Closed-neighborhood int masks (cached per graph)."""
-        if self._nbhd_masks is None:
-            from repro.core.bitset import closed_neighborhood_masks
-
-            self._nbhd_masks = closed_neighborhood_masks(self._graph)
-        return self._nbhd_masks
-
-    def _fresh_uncovered_bits(self) -> int:
-        """The uncovered-set mask, rebuilt from ``_covered`` when dirty."""
-        bits = self._uncovered_bits
-        if bits is None:
-            n = self._n_base
-            packed = np.packbits(self._covered[:n], bitorder="little")
-            bits = ((1 << n) - 1) & ~int.from_bytes(packed.tobytes(), "little")
-            self._uncovered_bits = bits
-        return bits
-
     def _deallocate_node(self, v: int) -> None:
         """Reverse :meth:`add_node` during rollback.
 
@@ -922,7 +876,7 @@ class DominationEngine:
             raise AlgorithmError(
                 f"cannot deallocate vertex {v}; newest is {self._num_nodes - 1}"
             )
-        self._leave_simple()
+        self._simple = False
         for u, eid in self._ext_adj.pop(v, {}).items():
             peer = self._ext_adj.get(u)
             if peer is not None:

@@ -44,7 +44,6 @@ def maxsg(
     seed_vertex: int | None = None,
     rng_seed: SeedLike = None,
     random_seed_vertex: bool = False,
-    backend: str = "python",
 ) -> list[int]:
     """Run MaxSubGraph-Greedy and return brokers in selection order.
 
@@ -57,11 +56,6 @@ def maxsg(
         Explicit first broker.  Defaults to the global maximum-degree
         vertex (ties to the smallest id); ``random_seed_vertex=True``
         samples it uniformly instead (ablation A-seed).
-    backend:
-        Kernel backend of the backing engine (``"python"`` or
-        ``"bitset"``); the selection sequence is bit-identical either
-        way — the engine's marginal-gain probe is the only thing that
-        changes.
     """
     n = graph.num_nodes
     if budget < 1:
@@ -80,7 +74,7 @@ def maxsg(
     tracer = get_tracer()
     evaluations = 0
     repops = 0
-    engine = DominationEngine(graph, backend=backend)
+    engine = DominationEngine(graph)
     in_broker_set = np.zeros(n, dtype=bool)
     in_heap = np.zeros(n, dtype=bool)
     # stale_round[v] = selection round in which v's cached gain was computed.

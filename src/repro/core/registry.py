@@ -17,13 +17,11 @@ alongside the declared knobs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core import baselines
 from repro.core.approx_mcbg import approx_mcbg
-from repro.core.bitset import bitset_lazy_greedy_max_coverage
 from repro.core.greedy import lazy_greedy_max_coverage
 from repro.core.maxsg import maxsg
 from repro.exceptions import AlgorithmError
@@ -31,36 +29,21 @@ from repro.graph.asgraph import ASGraph
 
 __all__ = [
     "AlgorithmSpec",
-    "BackendSpec",
-    "DEFAULT_BACKEND",
     "IndexSpec",
-    "KERNEL_BACKEND_ENV",
     "ParamSpec",
     "algorithm_names",
-    "all_backend_specs",
     "all_index_specs",
     "all_specs",
-    "backend_names",
     "canonical_params",
     "get_algorithm",
-    "get_backend",
     "get_index",
     "index_names",
     "register_algorithm",
-    "register_backend",
-    "register_backend_runner",
     "register_index",
     "registry_fingerprint",
     "resolve_backend",
     "run_algorithm",
 ]
-
-#: Environment variable that picks the kernel backend when a call site
-#: leaves it unspecified (how CI flips the whole suite per matrix axis).
-KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
-
-#: The reference implementation every other backend is pinned against.
-DEFAULT_BACKEND = "python"
 
 
 @dataclass(frozen=True)
@@ -104,30 +87,6 @@ class AlgorithmSpec:
 
 
 @dataclass(frozen=True)
-class BackendSpec:
-    """A registered kernel backend.
-
-    ``capabilities`` are the kernel families the backend accelerates
-    (e.g. ``"greedy"``, ``"connectivity"``, ``"engine"``); an algorithm
-    with no backend-specific runner silently falls back to the default
-    python implementation, so every backend supports every algorithm —
-    the flags only describe where it actually differs.
-    """
-
-    name: str
-    summary: str
-    capabilities: tuple[str, ...] = ()
-
-    def describe(self) -> dict:
-        """JSON-safe description (``repro algorithms --json`` emits it)."""
-        return {
-            "name": self.name,
-            "summary": self.summary,
-            "capabilities": list(self.capabilities),
-        }
-
-
-@dataclass(frozen=True)
 class IndexSpec:
     """A registered serving index family.
 
@@ -164,72 +123,18 @@ class IndexSpec:
 
 
 _REGISTRY: dict[str, AlgorithmSpec] = {}
-_BACKENDS: dict[str, BackendSpec] = {}
 _INDEXES: dict[str, IndexSpec] = {}
-#: ``(algorithm, backend) -> runner`` overrides; absence means fallback
-#: to the algorithm's default (python) runner.
-_BACKEND_RUNNERS: dict[tuple[str, str], Callable] = {}
 
 
-def register_backend(spec: BackendSpec) -> BackendSpec:
-    """Register a kernel backend; duplicate names are an error."""
-    if spec.name in _BACKENDS:
-        raise AlgorithmError(f"backend {spec.name!r} is already registered")
-    _BACKENDS[spec.name] = spec
-    return spec
+def resolve_backend(_requested: str | None = None) -> str:
+    """The name of the kernel implementation, which is always ``"python"``.
 
-
-def get_backend(name: str) -> BackendSpec:
-    """Look up a registered backend by name."""
-    spec = _BACKENDS.get(name)
-    if spec is None:
-        raise AlgorithmError(
-            f"unknown kernel backend {name!r}; choose from {backend_names()}"
-        )
-    return spec
-
-
-def backend_names() -> tuple[str, ...]:
-    """Registered backend names in registration order."""
-    return tuple(_BACKENDS)
-
-
-def all_backend_specs() -> tuple[BackendSpec, ...]:
-    """All registered backends in registration order."""
-    return tuple(_BACKENDS.values())
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Normalize a backend request to a registered name.
-
-    ``None`` defers to ``$REPRO_KERNEL_BACKEND``, then to
-    :data:`DEFAULT_BACKEND`; unknown names raise.  Call sites store the
-    *resolved* name in cache keys and ledger records so a run's backend
-    is always explicit after the fact.
+    Every algorithm has exactly one implementation.  The only caller is
+    the benchmark harness (``perfbench/bench/env.py``), which records
+    this name in each run's provenance; the argument it passes is
+    ignored.
     """
-    name = backend or os.environ.get(KERNEL_BACKEND_ENV) or DEFAULT_BACKEND
-    get_backend(name)
-    return name
-
-
-def register_backend_runner(
-    algorithm: str, backend: str, runner: Callable
-) -> None:
-    """Override ``algorithm``'s runner under ``backend``."""
-    get_algorithm(algorithm)
-    get_backend(backend)
-    key = (algorithm, backend)
-    if key in _BACKEND_RUNNERS:
-        raise AlgorithmError(
-            f"algorithm {algorithm!r} already has a {backend!r} runner"
-        )
-    _BACKEND_RUNNERS[key] = runner
-
-
-def backend_runner(algorithm: str, backend: str) -> Callable:
-    """The runner for ``(algorithm, backend)``, falling back to python."""
-    spec = get_algorithm(algorithm)
-    return _BACKEND_RUNNERS.get((algorithm, backend), spec.runner)
+    return "python"
 
 
 def register_index(spec: IndexSpec) -> IndexSpec:
@@ -317,9 +222,9 @@ def registry_fingerprint() -> str:
 
     Experiment cache keys embed this, so cached results invalidate when
     an algorithm is added, removed, or changes its declared defaults —
-    without each call site enumerating the roster itself.  The backend
-    roster (and which algorithms carry backend-specific runners) rides
-    along for the same reason.
+    without each call site enumerating the roster itself.  The serving
+    index families and their build policies ride along for the same
+    reason.
     """
     import hashlib
     import json
@@ -330,7 +235,6 @@ def registry_fingerprint() -> str:
                 [spec.name, spec.budgeted, canonical_params(spec.name)]
                 for spec in all_specs()
             ],
-            [list(backend_names()), sorted(map(list, _BACKEND_RUNNERS))],
             [
                 [spec.name, {p.name: p.default for p in spec.params}]
                 for spec in all_index_specs()
@@ -345,25 +249,19 @@ def run_algorithm(
     name: str,
     graph: ASGraph,
     budget: int | None = None,
-    *,
-    backend: str | None = None,
     **params,
 ) -> tuple[list[int], dict]:
     """Resolve ``name`` and run it; returns ``(brokers, extra_params)``.
 
     ``budget`` is mandatory for budgeted algorithms and ignored by the
     rest.  ``params`` must be declared in the algorithm's schema;
-    omitted knobs take their declared defaults.  ``backend`` picks the
-    kernel implementation (:func:`resolve_backend` semantics); every
-    backend returns bit-identical brokers, so this is purely a speed
-    knob and deliberately not part of the declared parameter schema.
+    omitted knobs take their declared defaults.
     """
     spec = get_algorithm(name)
     if spec.budgeted and budget is None:
         raise AlgorithmError(f"algorithm {name!r} requires a budget")
     filled = canonical_params(name, params)
-    runner = backend_runner(name, resolve_backend(backend))
-    return runner(graph, budget, **filled)
+    return spec.runner(graph, budget, **filled)
 
 
 # ----------------------------------------------------------------------
@@ -481,36 +379,6 @@ register_algorithm(AlgorithmSpec(
     capabilities=("baseline", "metadata"),
     runner=_run_tier1,
 ))
-
-
-# ----------------------------------------------------------------------
-# Kernel backends.  ``python`` is the reference; ``bitset`` overrides
-# the kernels where packed 64-bit masks beat per-vertex numpy loops and
-# falls back to python everywhere else (the differential suite pins the
-# overridden kernels bit-identical).
-# ----------------------------------------------------------------------
-
-
-def _run_greedy_bitset(graph, budget):
-    return bitset_lazy_greedy_max_coverage(graph, budget), {}
-
-
-def _run_maxsg_bitset(graph, budget):
-    return maxsg(graph, budget, backend="bitset"), {}
-
-
-register_backend(BackendSpec(
-    name="python",
-    summary="reference kernels: per-vertex numpy/CSR loops",
-    capabilities=("reference",),
-))
-register_backend(BackendSpec(
-    name="bitset",
-    summary="packed 64-bit masks: batched gains + bit-parallel BFS",
-    capabilities=("greedy", "maxsg", "connectivity", "engine"),
-))
-register_backend_runner("greedy", "bitset", _run_greedy_bitset)
-register_backend_runner("maxsg", "bitset", _run_maxsg_bitset)
 
 
 # ----------------------------------------------------------------------

@@ -91,7 +91,6 @@ class BrokerSelector:
         degree_threshold: int = 0,
         evaluate: bool = True,
         cache=None,
-        backend: str | None = None,
     ) -> SelectionResult:
         """Run ``algorithm`` and evaluate the resulting broker set.
 
@@ -104,15 +103,9 @@ class BrokerSelector:
         whole selection+evaluation on disk, keyed by the graph digest and
         every selection knob.  Only integer/None seeds are cacheable — a
         live ``Generator`` has unknowable state, so it bypasses the cache.
-
-        ``backend`` picks the kernel backend
-        (:func:`repro.core.registry.resolve_backend` semantics).  Every
-        backend produces bit-identical broker sets; the resolved name
-        still enters the cache key so a run's provenance is explicit.
         """
         graph = self._graph
         spec = registry.get_algorithm(algorithm)
-        resolved_backend = registry.resolve_backend(backend)
         declared = {p.name for p in spec.params}
         knobs = {
             name: value
@@ -131,7 +124,6 @@ class BrokerSelector:
                 "algorithm": algorithm,
                 "budget": budget,
                 "evaluate": evaluate,
-                "backend": resolved_backend,
                 "params": registry.canonical_params(algorithm, knobs),
             }
             hit = cache.get(
@@ -149,9 +141,7 @@ class BrokerSelector:
                     mcbg_feasible=bool(hit["mcbg_feasible"]),
                     parameters=dict(hit["parameters"]),
                 )
-        brokers, params = registry.run_algorithm(
-            algorithm, graph, budget, backend=resolved_backend, **knobs
-        )
+        brokers, params = registry.run_algorithm(algorithm, graph, budget, **knobs)
 
         if not evaluate:
             result = SelectionResult(

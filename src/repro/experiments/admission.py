@@ -365,6 +365,10 @@ def run_admission_study(
     ledger's exact-digest regression gate doubles as a repeat-run
     bit-identity check.
     """
+    if flows_per_level < 1:
+        raise AlgorithmError(
+            f"flows_per_level must be >= 1, got {flows_per_level}"
+        )
     graph = config.graph()
     multigraph = expand_internet_multigraph(
         graph, seed=config.seed + MULTIGRAPH_SEED_SALT

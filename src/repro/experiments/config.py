@@ -45,21 +45,10 @@ class ExperimentConfig:
     max_hops: int = 8
     #: (alpha, beta)-graph hop bound used by Algorithm 2.
     beta: int = 4
-    #: Kernel backend for the hot selection/connectivity kernels.
-    #: ``None`` defers to ``REPRO_KERNEL_BACKEND`` (default ``python``);
-    #: every backend yields bit-identical results, so this is purely a
-    #: speed knob — but the resolved name is recorded in run provenance.
-    kernel_backend: str | None = None
 
     def graph(self) -> ASGraph:
         """The topology for this configuration (cached per scale/seed)."""
         return _cached_graph(self.scale, self.seed)
-
-    def resolved_backend(self) -> str:
-        """The kernel backend after env/default resolution."""
-        from repro.core.registry import resolve_backend
-
-        return resolve_backend(self.kernel_backend)
 
     def broker_budgets(self) -> dict[str, int]:
         """The paper's broker fractions translated to this scale."""

@@ -60,7 +60,6 @@ def run_fig2a(config: ExperimentConfig, *, iterations: int = 300) -> ExperimentR
 @register("fig2b")
 def run_fig2b(config: ExperimentConfig) -> ExperimentResult:
     graph = config.graph()
-    kernel_backend = config.resolved_backend()
     budget = config.broker_budgets()["1.9%"]
     hops = list(range(1, config.max_hops + 1))
 
@@ -79,8 +78,7 @@ def run_fig2b(config: ExperimentConfig) -> ExperimentResult:
     for label, name, knobs in roster:
         spec = get_algorithm(name)
         brokers, _ = run_algorithm(
-            name, graph, budget=budget if spec.budgeted else None,
-            backend=kernel_backend, **knobs
+            name, graph, budget=budget if spec.budgeted else None, **knobs
         )
         algorithms[label] = brokers
     free = connectivity_curve(
@@ -169,8 +167,7 @@ def fig2b_seed_sweep(
     else:
         budgets = sorted(dict.fromkeys(int(b) for b in budgets))
     seeds = [config.seed] if seeds is None else [int(s) for s in seeds]
-    kernel_backend = config.resolved_backend()
-    brokers_full = maxsg(graph, max(budgets), backend=kernel_backend)
+    brokers_full = maxsg(graph, max(budgets))
     digest = graph.digest()
     cache = ResultCache(cache_dir) if cache_dir is not None else None
 
@@ -199,7 +196,6 @@ def fig2b_seed_sweep(
                     "brokers": brokers_full[: min(b, len(brokers_full))],
                     "max_hops": config.max_hops,
                     "num_sources": config.num_sources,
-                    "kernel_backend": kernel_backend,
                     "params": params,
                 }
             )

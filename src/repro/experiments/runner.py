@@ -479,7 +479,6 @@ def _experiment_cache_params(config: ExperimentConfig) -> dict:
         "num_sources": config.num_sources,
         "max_hops": config.max_hops,
         "beta": config.beta,
-        "kernel_backend": config.resolved_backend(),
         "registry": registry_fingerprint(),
     }
 

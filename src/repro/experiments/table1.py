@@ -18,12 +18,11 @@ from repro.experiments.runner import ExperimentResult, register
 @register("table1")
 def run(config: ExperimentConfig) -> ExperimentResult:
     graph = config.graph()
-    backend = config.resolved_backend()
     n = graph.num_nodes
     rows: list[tuple[object, ...]] = []
     paper = {}
     for label, budget in config.broker_budgets().items():
-        brokers = maxsg(graph, budget, backend=backend)
+        brokers = maxsg(graph, budget)
         coverage = saturated_connectivity(graph, brokers)
         rows.append(
             (

@@ -1,14 +1,9 @@
-"""Bitset mask primitives and the bit-parallel multi-source BFS kernel.
+"""The bit-parallel multi-source BFS kernel and its word helpers.
 
-A *mask* is an arbitrary-precision python ``int`` interpreted as an
-``n``-bit vertex set: bit ``v`` set means vertex ``v`` is a member.  The
-equivalent *block* form is a little-endian ``uint64`` array of
-``num_words(n)`` words — bit ``v`` lives at word ``v >> 6``, position
-``v & 63`` — and the two forms round-trip losslessly through
-:func:`mask_to_blocks` / :func:`blocks_to_mask`.  Masks make set algebra
-(union, intersection, complement, popcount) O(n / 64) machine words
-instead of O(n) python objects, which is what lets the coverage and
-connectivity kernels treat the full 52,079-node topology as routine.
+A vertex set over ``n`` vertices is held in *block* form: a
+little-endian ``uint64`` array of ``num_words(n)`` words, bit ``v`` at
+word ``v >> 6``, position ``v & 63``.  Set algebra and counting then
+cost O(n / 64) machine words instead of O(n) python objects.
 
 :func:`bitset_hop_reach` is the library's multi-source BFS: each batch
 packs up to ``batch_size`` sources into the *bit columns* of a
@@ -22,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.exceptions import GraphValidationError
 from repro.obs import metrics as _metrics
 
 #: Bits per block word.
@@ -50,85 +44,9 @@ def num_words(n: int) -> int:
     return (int(n) + WORD_BITS - 1) >> 6
 
 
-def popcount(mask: int) -> int:
-    """Number of set bits (vertex-set cardinality) of ``mask``."""
-    return int(mask).bit_count()
-
-
-def full_mask(n: int) -> int:
-    """The all-vertices mask ``{0, .., n-1}``."""
-    return (1 << int(n)) - 1
-
-
-def mask_from_indices(indices, n: int) -> int:
-    """Mask with exactly the bits in ``indices`` set (ids in ``[0, n)``)."""
-    return blocks_to_mask(blocks_from_indices(indices, n))
-
-
-def indices_from_mask(mask: int, n: int) -> np.ndarray:
-    """Sorted vertex ids of the set bits of ``mask`` (int64)."""
-    blocks = mask_to_blocks(mask, n)
-    bits = np.unpackbits(
-        blocks.view(np.uint8), bitorder="little", count=int(n)
-    )
-    return np.flatnonzero(bits).astype(np.int64)
-
-
-def mask_to_blocks(mask: int, n: int) -> np.ndarray:
-    """``mask`` as a little-endian ``uint64`` block array of ``n`` bits."""
-    mask = int(mask)
-    if mask < 0:
-        raise GraphValidationError("negative values are not vertex masks")
-    if mask >> int(n):
-        raise GraphValidationError(
-            f"mask has bits above the universe size {n}"
-        )
-    words = max(num_words(n), 1)
-    raw = mask.to_bytes(words * 8, "little")
-    return np.frombuffer(raw, dtype=np.uint64).copy()
-
-
-def blocks_to_mask(blocks: np.ndarray) -> int:
-    """Little-endian ``uint64`` blocks back to one python-int mask."""
-    blocks = np.ascontiguousarray(blocks, dtype=np.uint64)
-    return int.from_bytes(blocks.tobytes(), "little")
-
-
-def blocks_from_indices(indices, n: int) -> np.ndarray:
-    """Block-form mask with exactly the bits in ``indices`` set."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if len(idx) and (idx.min() < 0 or idx.max() >= n):
-        raise GraphValidationError(f"vertex id out of range [0, {n})")
-    blocks = np.zeros(max(num_words(n), 1), dtype=np.uint64)
-    np.bitwise_or.at(blocks, idx >> 6, _WORD_ONE << (idx & 63).astype(np.uint64))
-    return blocks
-
-
 def popcount_blocks(blocks: np.ndarray) -> int:
     """Total set bits across a block array (any shape)."""
     return int(_bitwise_count(np.asarray(blocks, dtype=np.uint64)).sum())
-
-
-def adjacency_masks(src, dst, n: int) -> list[int]:
-    """Per-vertex neighbor masks of an undirected edge list.
-
-    ``masks[v]`` has bit ``u`` set iff some edge joins ``u`` and ``v``.
-    One BFS level over a frontier mask is then the OR of the frontier
-    vertices' masks — the single-source twin of the batched expansion
-    inside :func:`bitset_hop_reach`.  The hub-labeling builder runs its
-    pruned BFS sweeps over these masks.
-    """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if len(src) and (
-        min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n
-    ):
-        raise GraphValidationError(f"vertex id out of range [0, {n})")
-    masks = [0] * int(n)
-    for u, v in zip(src.tolist(), dst.tolist()):
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
 
 
 def bitset_hop_reach(

@@ -1,13 +1,10 @@
 """The one ``perf_counter`` wall-clock timer shared by the whole stack.
 
-Historically the experiment harness (``repro.utils.timer``), the
-``@profiled`` decorator and the runner each read ``time.perf_counter``
-through their own three-line helper.  This module is the single
-implementation they all share now: :class:`Timer` keeps the original
-context-manager/``start``/``stop`` API (``repro.utils.timer.Timer``
-remains as a thin alias for old imports) and optionally flushes the
-elapsed seconds into the metrics registry when constructed with a
-``metric`` name.
+The experiment harness, the ``@profiled`` decorator and the runner all
+share this implementation: :class:`Timer` offers a context-manager and
+``start``/``stop`` API (``repro.utils.Timer`` is the same class) and
+optionally flushes the elapsed seconds into the metrics registry when
+constructed with a ``metric`` name.
 """
 
 from __future__ import annotations

@@ -167,3 +167,9 @@ class TestStudy:
         assert a.state_digest == b.state_digest
         assert a.result.render() == b.result.render()
         assert a.multigraph_digest == b.multigraph_digest
+
+    @pytest.mark.parametrize("flows", [0, -5])
+    def test_nonpositive_flows_per_level_rejected(self, flows):
+        config = ExperimentConfig(scale="tiny", seed=1)
+        with pytest.raises(AlgorithmError, match="flows_per_level"):
+            run_admission_study(config, flows_per_level=flows)

@@ -36,8 +36,8 @@ def full_internet(seed: int = 1) -> ASGraph:
     """The paper-sized ``full`` profile (~52k nodes, built once per run).
 
     Callers must gate on :func:`full_profile_enabled` — building this
-    graph takes tens of seconds and the bitset masks hundreds of MB, so
-    it only belongs in explicitly opted-in (CI smoke) runs.
+    graph takes tens of seconds, so it only belongs in explicitly
+    opted-in (CI smoke) runs.
     """
     return load_internet("full", seed=seed)
 

@@ -1,75 +1,35 @@
-"""Property-based tests (hypothesis) for the bitset mask primitives.
+"""Property-based tests (hypothesis) for the bitset word helpers.
 
-The whole bitset backend stands on two representations of a vertex set —
-an arbitrary-precision python int and a little-endian ``uint64`` block
-array — and on hardware popcounts over them.  These properties pin the
-algebra: lossless round-trips between the forms, popcounts that agree
-with ``bin(mask).count("1")``, and batched marginal gains that agree
-with an explicit per-mask evaluation.
+The bit-parallel BFS kernel holds vertex sets as little-endian ``uint64``
+block arrays and counts them with hardware popcounts.  These properties
+pin the counting: block popcounts agree with ``bin(mask).count("1")`` of
+the equivalent python int, per word and in total.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitset import batched_marginal_gains, closed_neighborhood_blocks
-from repro.exceptions import GraphValidationError
 from repro.graph.bitset import (
     WORD_BITS,
     bitwise_count,
-    blocks_from_indices,
-    blocks_to_mask,
-    full_mask,
-    indices_from_mask,
-    mask_from_indices,
-    mask_to_blocks,
     num_words,
-    popcount,
     popcount_blocks,
 )
-from tests.core.test_differential import random_graphs
 
 
 @st.composite
 def universes(draw, max_bits=500):
     """A universe size and a random mask inside it."""
     n = draw(st.integers(1, max_bits))
-    mask = draw(st.integers(0, full_mask(n)))
+    mask = draw(st.integers(0, (1 << n) - 1))
     return n, mask
 
 
-class TestMaskBlockRoundTrip:
-    @given(universes())
-    @settings(max_examples=200, deadline=None)
-    def test_int_to_blocks_to_int(self, universe):
-        n, mask = universe
-        blocks = mask_to_blocks(mask, n)
-        assert blocks.dtype == np.uint64
-        assert len(blocks) == max(num_words(n), 1)
-        assert blocks_to_mask(blocks) == mask
-
-    @given(universes())
-    @settings(max_examples=200, deadline=None)
-    def test_indices_round_trip(self, universe):
-        n, mask = universe
-        idx = indices_from_mask(mask, n)
-        assert list(idx) == sorted(idx)
-        assert mask_from_indices(idx, n) == mask
-        assert np.array_equal(blocks_from_indices(idx, n), mask_to_blocks(mask, n))
-
-    @given(st.integers(1, 500))
-    @settings(max_examples=100, deadline=None)
-    def test_full_mask_is_universe(self, n):
-        assert popcount(full_mask(n)) == n
-        assert list(indices_from_mask(full_mask(n), n)) == list(range(n))
-
-    def test_out_of_universe_bits_rejected(self):
-        try:
-            mask_to_blocks(1 << 70, 70)
-        except GraphValidationError:
-            pass
-        else:  # pragma: no cover - defends the validation contract
-            raise AssertionError("mask above the universe must be rejected")
+def _blocks(mask: int, n: int) -> np.ndarray:
+    """``mask`` as the kernel's little-endian ``uint64`` block array."""
+    raw = mask.to_bytes(max(num_words(n), 1) * 8, "little")
+    return np.frombuffer(raw, dtype=np.uint64)
 
 
 class TestPopcount:
@@ -77,9 +37,7 @@ class TestPopcount:
     @settings(max_examples=200, deadline=None)
     def test_popcount_matches_bin_count(self, universe):
         n, mask = universe
-        expected = bin(mask).count("1")
-        assert popcount(mask) == expected
-        assert popcount_blocks(mask_to_blocks(mask, n)) == expected
+        assert popcount_blocks(_blocks(mask, n)) == bin(mask).count("1")
 
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
     @settings(max_examples=200, deadline=None)
@@ -91,41 +49,15 @@ class TestPopcount:
     @given(universes(max_bits=300), universes(max_bits=300))
     @settings(max_examples=150, deadline=None)
     def test_popcount_inclusion_exclusion(self, a, b):
-        """|A| + |B| = |A∪B| + |A∩B| — the identity batched gains rely on."""
+        """|A| + |B| = |A∪B| + |A∩B| over block arrays."""
         n = max(a[0], b[0])
         x, y = a[1], b[1]
-        assert popcount(x) + popcount(y) == popcount(x | y) + popcount(x & y)
-        bx, by = mask_to_blocks(x, n), mask_to_blocks(y, n)
-        assert popcount_blocks(bx | by) == popcount(x | y)
-        assert popcount_blocks(bx & by) == popcount(x & y)
-
-
-class TestBatchedGains:
-    @given(random_graphs(max_nodes=80, max_edges=160), st.integers(0, 2**32))
-    @settings(max_examples=60, deadline=None)
-    def test_gains_match_per_mask_evaluation(self, graph, seed):
-        n = graph.num_nodes
-        blocks = closed_neighborhood_blocks(graph)
-        uncovered_int = int(
-            np.random.default_rng(seed).integers(0, 2**31)
-        ) % (full_mask(n) + 1)
-        uncovered = mask_to_blocks(uncovered_int, n)
-        gains = batched_marginal_gains(blocks, uncovered)
-        for v in range(n):
-            nbhd = blocks_to_mask(blocks[v])
-            assert gains[v] == popcount(nbhd & uncovered_int)
-
-    @given(random_graphs(max_nodes=80, max_edges=160))
-    @settings(max_examples=60, deadline=None)
-    def test_neighborhood_blocks_match_adjacency(self, graph):
-        """Row v of the block matrix is exactly N[v] = {v} ∪ N(v)."""
-        blocks = closed_neighborhood_blocks(graph)
-        for v in range(graph.num_nodes):
-            members = set(int(u) for u in graph.neighbors(v)) | {v}
-            got = set(int(u) for u in indices_from_mask(
-                blocks_to_mask(blocks[v]), graph.num_nodes
-            ))
-            assert got == members
+        bx, by = _blocks(x, n), _blocks(y, n)
+        assert popcount_blocks(bx) + popcount_blocks(by) == (
+            popcount_blocks(bx | by) + popcount_blocks(bx & by)
+        )
+        assert popcount_blocks(bx | by) == bin(x | y).count("1")
+        assert popcount_blocks(bx & by) == bin(x & y).count("1")
 
     def test_word_bits_constant(self):
         assert WORD_BITS == 64

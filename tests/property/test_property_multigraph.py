@@ -11,8 +11,7 @@ attributed multigraphs (random simple base + random parallel instances,
 * connectivity curves are float-identical, and equal to the dense-product
   reference curve;
 * greedy selection returns the identical broker sequence;
-* a :class:`DominationEngine` over either graph, on both the ``python``
-  and ``bitset`` kernel backends, stays in lockstep
+* a :class:`DominationEngine` over either graph stays in lockstep
   through randomized mutation interleavings (add/remove broker, fail/
   restore node, cut/restore link), with ``verify()`` as the oracle; an
   illegal mutation must raise the same error on both sides.
@@ -31,8 +30,6 @@ from repro.graph.asgraph import ASGraph, EdgeAttributes
 from repro.graph.multigraph import MultiGraph
 from repro.types import LinkKind
 from tests.oracles.connectivity import curve_fractions
-
-BACKENDS = ("python", "bitset")
 
 
 @st.composite
@@ -138,8 +135,8 @@ class TestAlgorithmsBitIdentical:
     @given(multigraph_and_brokers())
     @settings(max_examples=20, deadline=None)
     def test_connectivity_curve_identical_both_backends(self, case):
-        """The curve runs one kernel whatever the backend: it must agree
-        on both graphs and with the dense-product reference."""
+        """The curve must agree on both graphs and with the
+        dense-product reference."""
         mg, simple, brokers = case
         projected = mg.simplify().graph
         a = connectivity_curve(projected, brokers, max_hops=4)
@@ -176,13 +173,11 @@ def _same_outcome(a, b) -> bool:
     return a == b
 
 
-def _run_lockstep(mg, simple, brokers, op_seeds, backend) -> int:
+def _run_lockstep(mg, simple, brokers, op_seeds) -> int:
     """Drive both engines through one mutation script; return the
     number of ops both rejected."""
-    left = DominationEngine.from_multigraph(
-        mg, dict.fromkeys(brokers), backend=backend
-    )
-    right = DominationEngine(simple, dict.fromkeys(brokers), backend=backend)
+    left = DominationEngine.from_multigraph(mg, dict.fromkeys(brokers))
+    right = DominationEngine(simple, dict.fromkeys(brokers))
     edges = list(zip(simple.edge_src.tolist(), simple.edge_dst.tolist()))
     rejected = 0
     for s in op_seeds:
@@ -212,13 +207,12 @@ class TestEngineLockstep:
     @given(
         multigraph_and_brokers(),
         st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=12),
-        st.sampled_from(BACKENDS),
     )
     @settings(max_examples=20, deadline=None)
-    def test_mutation_interleavings(self, case, op_seeds, backend):
+    def test_mutation_interleavings(self, case, op_seeds):
         """Random mutation scripts keep both engines in lockstep."""
         mg, simple, brokers = case
-        _run_lockstep(mg, simple, brokers, op_seeds, backend)
+        _run_lockstep(mg, simple, brokers, op_seeds)
 
     def test_illegal_op_raises_identically_and_lockstep_continues(self):
         """A 3-node graph with one link 1-2 and broker 0.  Op seeds 1,
@@ -227,7 +221,4 @@ class TestEngineLockstep:
         mg, simple = _twins(3, np.array([1]), np.array([2]),
                             np.array([], dtype=np.int64),
                             np.random.default_rng(0))
-        for backend in BACKENDS:
-            assert _run_lockstep(
-                mg, simple, [0], [1, 186, 16, 186], backend
-            ) == 1
+        assert _run_lockstep(mg, simple, [0], [1, 186, 16, 186]) == 1

@@ -476,6 +476,17 @@ class TestBadCountsRejectedAtParse:
         (["serve", "--queries", "-5"], "--queries"),
         (["query", "--slo-window", "-1", "3", "9"], "--slo-window"),
         (["sweep", "fig2b", "--num-sources", "0"], "--num-sources"),
+        (["sweep", "table5", "--top", "0"], "--top"),
+        (["select", "maxsg", "--budget", "0"], "--budget"),
+        (["serve", "--budget", "-2"], "--budget"),
+        (["query", "--budget", "0", "3", "9"], "--budget"),
+        (["resilience", "--budget", "0"], "--budget"),
+        (["resilience", "--steps", "0"], "--steps"),
+        (["resilience", "--replicates", "0"], "--replicates"),
+        (["convergence", "--budget", "0"], "--budget"),
+        (["convergence", "--replicates", "0"], "--replicates"),
+        (["admission", "--flows", "-5"], "--flows"),
+        (["admission", "--pairs", "0"], "--pairs"),
     ])
     def test_rejected(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -487,6 +498,22 @@ class TestBadCountsRejectedAtParse:
         ]
         assert len(errors) == 1
         assert f"argument {flag}" in errors[0]
+
+
+class TestKernelBackendFlagGone:
+    """Each algorithm has one implementation, so there is nothing to pick."""
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "maxsg", "--scale", "tiny", "--kernel-backend", "bitset"],
+        ["experiment", "table2", "--scale", "tiny",
+         "--kernel-backend", "bitset"],
+        ["sweep", "fig2b", "--scale", "tiny", "--kernel-backend", "bitset"],
+    ])
+    def test_flag_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--kernel-backend" in capsys.readouterr().err
 
 
 class TestAdmission:

@@ -77,21 +77,6 @@ class TestTimer:
         with pytest.raises(RuntimeError):
             Timer().stop()
 
-    def test_legacy_module_warns_and_aliases(self):
-        """``repro.utils.timer`` still works but warns on import."""
-        import importlib
-        import warnings
-
-        import repro.utils.timer as legacy
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = importlib.reload(legacy)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert legacy.Timer is Timer
-
     def test_package_export_is_the_obs_timer(self):
         """``repro.utils.Timer`` aliases the canonical obs implementation."""
         from repro.utils import Timer as UtilsTimer
