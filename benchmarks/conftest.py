@@ -33,16 +33,32 @@ def warm_graph(config):
 
 
 @pytest.fixture(scope="session")
-def small_config() -> ExperimentConfig:
-    """The ``small`` profile whatever ``REPRO_BENCH_SCALE`` says, warmed.
-
-    For benchmarks whose asserted shape is a claim about a graph of
-    paper size, which the 604-node ``tiny`` profile is too small to show.
-    """
+def _warm_small_config() -> ExperimentConfig:
     seed = int(os.environ.get("REPRO_BENCH_SEED", "1"))
     config = ExperimentConfig(scale="small", seed=seed)
     config.graph()
     return config
+
+
+@pytest.fixture
+def small_config(request, _warm_small_config) -> ExperimentConfig:
+    """The ``small`` profile whatever ``REPRO_BENCH_SCALE`` says, warmed.
+
+    For benchmarks whose asserted shape is a claim about a graph of
+    paper size, which the 604-node ``tiny`` profile is too small to show.
+    The test's ledger record names ``small``.
+    """
+    pin_profile(request, "small", _warm_small_config.seed)
+    return _warm_small_config
+
+
+def pin_profile(request, scale: str, seed: int) -> None:
+    """Record the profile a test ran at when it ignores the environment.
+
+    :func:`pytest_runtest_logreport` labels the test's ledger record with
+    it instead of ``REPRO_BENCH_SCALE``/``REPRO_BENCH_SEED``.
+    """
+    request.node.user_properties.append(("bench_profile", (scale, seed)))
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -99,7 +115,9 @@ def pytest_runtest_logreport(report):
         summarize_observation,
     )
 
-    scale, seed = _bench_scale_seed()
+    scale, seed = dict(report.user_properties).get(
+        "bench_profile", _bench_scale_seed()
+    )
     ledger.append(RunRecord(
         experiment=report.nodeid.split("::")[-1],
         kind="benchmark",

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import timed_once
+from benchmarks.conftest import pin_profile, timed_once
 from repro.core.connectivity import connectivity_curve, saturated_connectivity
 from repro.core.maxsg import maxsg
 from repro.datasets.loader import load_internet
@@ -34,7 +34,8 @@ def small_graph():
     return load_internet("small", seed=1)
 
 
-def test_connectivity_curve_speedup(benchmark, small_graph):
+def test_connectivity_curve_speedup(benchmark, small_graph, request):
+    pin_profile(request, "small", 1)
     brokers = maxsg(small_graph, max(8, small_graph.num_nodes // 50))
     kwargs = dict(max_hops=8, seed=1)
     t0 = time.perf_counter()

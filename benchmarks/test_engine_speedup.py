@@ -20,12 +20,10 @@ import numpy as np
 
 from benchmarks.conftest import timed_once
 from repro.core.maxsg import maxsg
-from repro.core.robustness import failure_sweep, failure_sweep_reference
-from repro.simulation.churn import (
-    IncrementalBrokerSet,
-    IncrementalBrokerSetReference,
-    generate_churn_trace,
-)
+from repro.core.robustness import failure_sweep
+from repro.simulation.churn import IncrementalBrokerSet, generate_churn_trace
+from tests.oracles.churn import IncrementalBrokerSetReference
+from tests.oracles.robustness import failure_sweep_reference
 
 CHURN_EVENTS = 400
 

@@ -2,16 +2,16 @@
 
 Unlike the artifact benchmarks (one timed run per table/figure), these
 use pytest-benchmark's normal multi-round timing to track the kernels the
-paper's complexity claims are about: coverage oracles, greedy selection,
-MaxSG, dominated-graph construction and batched BFS.
+paper's complexity claims are about: engine marginal gains, greedy
+selection, MaxSG, dominated-graph construction and batched BFS.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.connectivity import connectivity_curve, saturated_connectivity
-from repro.core.coverage import CoverageOracle
 from repro.core.domination import dominated_matrix
+from repro.core.engine import DominationEngine
 from repro.core.greedy import lazy_greedy_max_coverage
 from repro.core.maxsg import maxsg
 from repro.graph.bitset import bitset_hop_reach
@@ -40,12 +40,12 @@ def test_bitset_hop_reach_256_sources(benchmark, graph):
     benchmark(bitset_hop_reach, mat, sources, 4)
 
 
-def test_coverage_oracle_sweep(benchmark, graph):
+def test_engine_gain_sweep(benchmark, graph):
     def sweep():
-        oracle = CoverageOracle(graph)
+        engine = DominationEngine(graph)
         for v in range(0, graph.num_nodes, 50):
-            oracle.marginal_gain(v)
-        return oracle
+            engine.marginal_gain(v)
+        return engine
 
     benchmark(sweep)
 

@@ -25,7 +25,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from benchmarks.conftest import _session_ledger, timed_once
+from benchmarks.conftest import _session_ledger, pin_profile, timed_once
 from repro.core.engine import DominationEngine
 from repro.core.maxsg import maxsg
 from repro.datasets.loader import load_internet
@@ -83,7 +83,8 @@ def _p50(samples: list[float]) -> float:
     return ordered[len(ordered) // 2]
 
 
-def _speedup_case(scale: str, min_speedup: float, benchmark) -> None:
+def _speedup_case(scale: str, min_speedup: float, benchmark, request) -> None:
+    pin_profile(request, scale, 1)
     graph, engine, index = _stack(scale)
     adj = _bfs_adjacency(engine)
     alive = engine.alive_view
@@ -124,17 +125,18 @@ def _speedup_case(scale: str, min_speedup: float, benchmark) -> None:
     )
 
 
-def test_hub_label_p50_speedup_small(benchmark):
-    _speedup_case("small", MIN_P50_SPEEDUP, benchmark)
+def test_hub_label_p50_speedup_small(benchmark, request):
+    _speedup_case("small", MIN_P50_SPEEDUP, benchmark, request)
 
 
-def test_hub_label_p50_speedup_tiny(benchmark):
-    _speedup_case("tiny", TINY_P50_SPEEDUP, benchmark)
+def test_hub_label_p50_speedup_tiny(benchmark, request):
+    _speedup_case("tiny", TINY_P50_SPEEDUP, benchmark, request)
 
 
-def test_loadgen_throughput_recorded(benchmark):
+def test_loadgen_throughput_recorded(benchmark, request):
     """Closed-loop loadgen on the bench profile; ledger-recorded."""
     scale = os.environ.get("REPRO_BENCH_SCALE", "small")
+    pin_profile(request, scale, 1)
     graph, engine, index = _stack(scale)
     service = PathQueryService(LabelRepairer(engine, index))
     queries = 1000
@@ -169,7 +171,7 @@ def test_loadgen_throughput_recorded(benchmark):
             seed=1,
             git_rev=git_revision(),
             graph_digest=graph.digest(),
-            params={"queries": queries, "index": "hub2"},
+            params={"queries": queries},
             counters={
                 "serving.loadgen.reachable": report.reachable,
                 "serving.index.label_entries": index.label_entries(),

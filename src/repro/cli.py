@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 
 from repro.datasets.loader import available_scales, load_internet
@@ -792,7 +793,7 @@ def _serving_stack(args: argparse.Namespace):
     brokers = maxsg(graph, budget)
     engine = DominationEngine(graph, brokers)
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    index = build_index(engine, family=args.index, cache=cache)
+    index = build_index(engine, cache=cache)
     repairer = LabelRepairer(engine, index)
     service = PathQueryService(
         repairer, slo_monitor=_slo_monitor_from_args(args)
@@ -885,8 +886,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             seed=args.seed,
             git_rev=git_revision(),
             graph_digest=graph.digest(),
-            params={"index": args.index, "budget": len(brokers),
-                    "queries": args.queries},
+            params={"budget": len(brokers), "queries": args.queries},
             counters={
                 "serving.index.label_entries": index.label_entries(),
                 "serving.loadgen.reachable": report.reachable,
@@ -1104,14 +1104,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     def _add_serving_flags(p: argparse.ArgumentParser) -> None:
-        from repro.core.registry import index_names
-
         p.add_argument("--scale", choices=available_scales(), default="tiny")
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--budget", type=_positive(int), default=None,
                        help="broker-set size (default: 1.9%% of nodes)")
-        p.add_argument("--index", choices=index_names(), default="hub2",
-                       help="serving index family (registry-resolved)")
         p.add_argument("--cache-dir", default=None,
                        help="content-addressed cache for index payloads")
         p.add_argument("--slo", action="append", default=None, metavar="SPEC",
@@ -1310,9 +1306,16 @@ def main(argv: list[str] | None = None) -> int:
     configure_logging(args.log_level, json_output=args.log_json)
     try:
         with _maybe_trace(args):
-            return args.fn(args)
+            code = args.fn(args)
+        sys.stdout.flush()  # surface a closed pipe here, not at exit
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head``).  Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -18,7 +18,6 @@ from repro.core.connectivity import (
     saturated_connectivity,
 )
 from repro.core.coverage import (
-    CoverageOracle,
     coverage_fraction,
     coverage_value,
     covered_mask,
@@ -48,13 +47,11 @@ from repro.core.registry import (
 from repro.core.robustness import (
     FailureSweepResult,
     failure_sweep,
-    failure_sweep_reference,
     r_covered_fraction,
     redundant_greedy,
     single_failure_impact,
 )
 from repro.core.weighted import (
-    WeightedCoverageOracle,
     traffic_weights,
     weighted_greedy,
     weighted_maxsg,
@@ -94,7 +91,6 @@ __all__ = [
     "solve_pds_greedy",
     "pairwise_dominating_guarantee_fraction",
     # coverage
-    "CoverageOracle",
     "coverage_value",
     "coverage_fraction",
     "covered_mask",
@@ -155,7 +151,6 @@ __all__ = [
     "swap_local_search",
     "LocalSearchResult",
     "failure_sweep",
-    "failure_sweep_reference",
     "FailureSweepResult",
     "single_failure_impact",
     "redundant_greedy",
@@ -164,5 +159,4 @@ __all__ = [
     "weighted_greedy",
     "weighted_maxsg",
     "weighted_saturated_connectivity",
-    "WeightedCoverageOracle",
 ]

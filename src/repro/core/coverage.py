@@ -1,4 +1,4 @@
-"""The coverage set function ``f(B) = |B ∪ N(B)|`` and its oracle.
+"""The coverage set function ``f(B) = |B ∪ N(B)|``.
 
 Every selection algorithm in the paper optimizes (or is evaluated by) this
 function: a vertex is *covered* by a broker set ``B`` when it is a broker
@@ -6,10 +6,13 @@ or adjacent to one, i.e., it can reach the brokerage with a first-hop SLA.
 ``f`` is monotone and submodular (Lemma 3), which is what buys Algorithm
 1's ``(1 - 1/e)`` guarantee.
 
-:class:`CoverageOracle` supports the incremental access pattern the greedy
-algorithms need — O(deg(v)) marginal-gain queries and O(deg(v)) updates —
-as a thin adapter over :class:`repro.core.engine.DominationEngine`, the
-shared mutable coverage/domination state.
+The functions here evaluate ``f`` once for an arbitrary broker
+collection: experiments report them, and tests use them as from-scratch
+references.  The
+incremental access pattern the selection loops need — O(deg(v))
+marginal-gain queries and O(deg(v)) updates — is
+:class:`repro.core.engine.DominationEngine`'s ``marginal_gain`` and
+``add_broker``.
 """
 
 from __future__ import annotations
@@ -18,77 +21,9 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.engine import DominationEngine
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
 from repro.obs import add_counter
-
-
-class CoverageOracle:
-    """Incremental evaluator of ``f(B) = |B ∪ N(B)|`` over a fixed graph.
-
-    Adding broker ``v`` marks ``{v} ∪ N(v)`` covered inside the backing
-    :class:`~repro.core.engine.DominationEngine`; ``marginal_gain(v)``
-    counts how many *new* vertices ``v`` would cover — the quantity
-    maximized by each greedy step of Algorithm 1 (and, restricted to a
-    frontier, by Algorithm 3).
-    """
-
-    def __init__(self, graph: ASGraph) -> None:
-        self._graph = graph
-        self._engine = DominationEngine(graph)
-        self._brokers: list[int] = []
-
-    # ------------------------------------------------------------------
-    # State
-    # ------------------------------------------------------------------
-    @property
-    def graph(self) -> ASGraph:
-        return self._graph
-
-    @property
-    def engine(self) -> DominationEngine:
-        """The backing mutable domination state."""
-        return self._engine
-
-    @property
-    def brokers(self) -> list[int]:
-        """Brokers added so far, in insertion order."""
-        return list(self._brokers)
-
-    @property
-    def covered_mask(self) -> np.ndarray:
-        """Read-only view of the covered indicator (do not mutate)."""
-        return self._engine.covered_view
-
-    def coverage(self) -> int:
-        """Current value of ``f(B)``."""
-        return self._engine.coverage()
-
-    def coverage_fraction(self) -> float:
-        """``f(B) / |V|``."""
-        return self._engine.coverage_fraction()
-
-    def is_covered(self, v: int) -> bool:
-        return self._engine.is_covered(v)
-
-    # ------------------------------------------------------------------
-    # Queries and updates
-    # ------------------------------------------------------------------
-    def marginal_gain(self, v: int) -> int:
-        """``f(B ∪ {v}) − f(B)`` in O(deg(v))."""
-        return self._engine.marginal_gain(int(v))
-
-    def add(self, v: int) -> int:
-        """Add broker ``v``; returns the realized marginal gain."""
-        if not 0 <= v < self._graph.num_nodes:
-            raise AlgorithmError(f"broker id {v} out of range")
-        newly = self._engine.add_broker(int(v))
-        self._brokers.append(int(v))
-        return len(newly)
-
-    def uncovered_count(self) -> int:
-        return self._graph.num_nodes - self.coverage()
 
 
 def coverage_value(graph: ASGraph, brokers: Iterable[int]) -> int:

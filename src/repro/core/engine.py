@@ -224,9 +224,9 @@ class DominationEngine:
     def marginal_gain(self, v: int) -> int:
         """Newly covered vertices if ``v`` were added as a broker.
 
-        Bit-identical to the historical ``CoverageOracle.marginal_gain``
-        on a pristine topology; on a mutated topology it counts over
-        alive edges and alive endpoints only.  A dead vertex gains 0.
+        This is ``f(B ∪ {v}) − f(B)``, the gain every coverage selection
+        loop maximizes.  On a mutated topology it counts over alive edges
+        and alive endpoints only.  A dead vertex gains 0.
         """
         self._check_vertex(v)
         if self._simple:
@@ -455,10 +455,9 @@ class DominationEngine:
     def add_link(self, u: int, v: int) -> bool:
         """Add an edge between alive vertices ``u`` and ``v``.
 
-        Matches ``MutableTopology.add_link`` semantics: returns False
-        for self-loops, dead/unallocated endpoints, or an existing alive
-        edge.  A previously cut edge between the pair is revived instead
-        of duplicated.
+        Returns False, and changes nothing, for a self-loop, a dead or
+        unallocated endpoint, or an existing alive edge.  A previously
+        cut edge between the pair is revived instead of duplicated.
         """
         if u == v:
             return False
@@ -486,8 +485,8 @@ class DominationEngine:
     def add_node(self, neighbors=()) -> int:
         """Allocate a new alive vertex and link it to ``neighbors``.
 
-        Links to dead or unallocated neighbors are skipped, matching
-        ``MutableTopology.add_node``.  Returns the new vertex id.
+        Each link goes through :meth:`add_link`, so links to dead or
+        unallocated neighbors are skipped.  Returns the new vertex id.
         """
         self._simple = False
         v = self._num_nodes

@@ -1,10 +1,14 @@
 """Algorithm 1 — greedy ``(1 − 1/e)``-approximation for the MCB problem.
 
-Two implementations of the same selection rule:
+:func:`celf` is the one lazy greedy loop, over a
+:class:`~repro.core.engine.DominationEngine`; each coverage objective
+supplies only its ``gain(v)`` (``DominationEngine.marginal_gain`` here,
+its own in :mod:`repro.core.weighted` and :mod:`repro.core.robustness`).
 
 * :func:`greedy_max_coverage` — the textbook loop from the paper's
   Algorithm 1, recomputing every marginal gain each round:
-  ``O(k (|V| + |E|))``.
+  ``O(k (|V| + |E|))``.  Kept as the differential reference for the
+  lazy loop.
 * :func:`lazy_greedy_max_coverage` — CELF-style lazy evaluation exploiting
   submodularity: a vertex's cached gain can only shrink, so the heap only
   re-evaluates candidates whose stale bound still tops the heap.  Orders of
@@ -18,10 +22,11 @@ evaluate every prefix of a single run.
 from __future__ import annotations
 
 import heapq
+from typing import Callable
 
 import numpy as np
 
-from repro.core.coverage import CoverageOracle
+from repro.core.engine import DominationEngine
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
 from repro.obs import add_counter, get_tracer, profiled
@@ -34,6 +39,66 @@ def _validate_budget(graph: ASGraph, budget: int) -> None:
         raise AlgorithmError(
             f"budget {budget} exceeds the number of vertices {graph.num_nodes}"
         )
+
+
+def _candidate_pool(graph: ASGraph, candidates: np.ndarray | None) -> np.ndarray:
+    pool = (
+        np.arange(graph.num_nodes)
+        if candidates is None
+        else np.unique(np.asarray(candidates, dtype=np.int64))
+    )
+    if len(pool) == 0:
+        raise AlgorithmError("candidate pool is empty")
+    return pool
+
+
+def celf(
+    engine: DominationEngine,
+    heap: list[tuple[float, int]],
+    gain: Callable[[int], float],
+    budget: int,
+) -> list[int]:
+    """Lazy (CELF) greedy over ``engine``; returns brokers in selection order.
+
+    ``heap`` holds ``(-gain, v)`` entries exact for the engine's current
+    state.  By submodularity cached gains are upper bounds: a stale entry
+    is re-evaluated with ``gain(v)`` and pushed back while positive, and
+    a fresh one at the top is committed with ``engine.add_broker``.  Ties
+    break to the smallest id; the loop stops once the best gain is 0.
+    """
+    heapq.heapify(heap)
+    tracer = get_tracer()
+    evaluations = 0
+    repops = 0
+    stale = np.zeros(engine.num_nodes, dtype=np.int64)  # round the gain was cached in
+    round_no = 0
+    chosen: list[int] = []
+    # Outer loop = one selection round; the inner loop pops (and lazily
+    # re-evaluates) candidates until one is fresh at the top of the heap.
+    while heap and len(chosen) < budget:
+        with tracer.span("lazy_greedy.round", round=round_no) as span:
+            while heap:
+                neg_gain, v = heapq.heappop(heap)
+                if stale[v] != round_no:
+                    evaluations += 1
+                    fresh = gain(v)
+                    stale[v] = round_no
+                    if fresh > 0:
+                        repops += 1
+                        heapq.heappush(heap, (-fresh, v))
+                    continue
+                if -neg_gain <= 0:
+                    heap.clear()  # the best gain is 0: nothing is left to add
+                    break
+                engine.add_broker(v)
+                chosen.append(v)
+                round_no += 1
+                span.set(vertex=v, gain=-neg_gain)
+                break
+    add_counter("kernel.lazy_greedy.gain_evaluations", evaluations)
+    add_counter("kernel.lazy_greedy.heap_repops", repops)
+    add_counter("kernel.lazy_greedy.rounds", len(chosen))
+    return chosen
 
 
 @profiled("kernel.greedy")
@@ -52,16 +117,10 @@ def greedy_max_coverage(
     IXP-only variants and by tests).
     """
     _validate_budget(graph, budget)
-    pool = (
-        np.arange(graph.num_nodes)
-        if candidates is None
-        else np.unique(np.asarray(candidates, dtype=np.int64))
-    )
-    if len(pool) == 0:
-        raise AlgorithmError("candidate pool is empty")
+    pool = _candidate_pool(graph, candidates)
     tracer = get_tracer()
     evaluations = 0
-    oracle = CoverageOracle(graph)
+    engine = DominationEngine(graph)
     chosen: list[int] = []
     chosen_mask = np.zeros(graph.num_nodes, dtype=bool)
     for round_no in range(budget):
@@ -71,12 +130,12 @@ def greedy_max_coverage(
                 if chosen_mask[v]:
                     continue
                 evaluations += 1
-                gain = oracle.marginal_gain(int(v))
+                gain = engine.marginal_gain(int(v))
                 if gain > best_gain:
                     best_v, best_gain = int(v), gain
             if best_v < 0:
                 break  # nothing adds coverage — all reachable vertices covered
-            oracle.add(best_v)
+            engine.add_broker(best_v)
             chosen.append(best_v)
             chosen_mask[best_v] = True
             span.set(vertex=best_v, gain=best_gain)
@@ -94,60 +153,15 @@ def lazy_greedy_max_coverage(
 ) -> list[int]:
     """Lazy (CELF) greedy MCB — same output as :func:`greedy_max_coverage`.
 
-    Maintains a max-heap of ``(-cached_gain, vertex)``.  Because ``f`` is
-    submodular, cached gains are upper bounds; a popped entry whose gain is
-    stale is re-evaluated and pushed back.  An entry that is fresh (its
-    recomputed gain equals the cached one) is optimal for this round.
+    The heap starts from the closed-neighbourhood sizes ``deg(v) + 1``,
+    which are the exact round-0 gains.
     """
     _validate_budget(graph, budget)
-    pool = (
-        np.arange(graph.num_nodes)
-        if candidates is None
-        else np.unique(np.asarray(candidates, dtype=np.int64))
-    )
-    if len(pool) == 0:
-        raise AlgorithmError("candidate pool is empty")
-    tracer = get_tracer()
-    evaluations = 0
-    repops = 0
-    oracle = CoverageOracle(graph)
-    # Initial gains are the closed-neighbourhood sizes.
+    pool = _candidate_pool(graph, candidates)
+    engine = DominationEngine(graph)
     degrees = graph.degrees()
-    heap: list[tuple[int, int]] = [(-(int(degrees[v]) + 1), int(v)) for v in pool]
-    heapq.heapify(heap)
-    stale = np.zeros(graph.num_nodes, dtype=np.int64)  # round the gain was cached in
-    round_no = 0
-    chosen: list[int] = []
-    done = False
-    # Outer loop = one selection round; the inner loop pops (and lazily
-    # re-evaluates) candidates until one is fresh at the top of the heap.
-    while heap and len(chosen) < budget and not done:
-        with tracer.span("lazy_greedy.round", round=round_no) as span:
-            while True:
-                if not heap:
-                    done = True
-                    break
-                neg_gain, v = heapq.heappop(heap)
-                if stale[v] != round_no:
-                    evaluations += 1
-                    gain = oracle.marginal_gain(v)
-                    stale[v] = round_no
-                    if gain > 0:
-                        repops += 1
-                        heapq.heappush(heap, (-gain, v))
-                    continue
-                if -neg_gain <= 0:
-                    done = True
-                    break
-                oracle.add(v)
-                chosen.append(v)
-                round_no += 1
-                span.set(vertex=v, gain=-neg_gain)
-                break
-    add_counter("kernel.lazy_greedy.gain_evaluations", evaluations)
-    add_counter("kernel.lazy_greedy.heap_repops", repops)
-    add_counter("kernel.lazy_greedy.rounds", len(chosen))
-    return chosen
+    heap = [(-(int(degrees[v]) + 1), int(v)) for v in pool]
+    return celf(engine, heap, engine.marginal_gain, budget)
 
 
 def greedy_with_trace(
@@ -161,6 +175,6 @@ def greedy_with_trace(
     """
     _validate_budget(graph, budget)
     brokers = lazy_greedy_max_coverage(graph, budget)
-    oracle = CoverageOracle(graph)
-    gains = [oracle.add(v) for v in brokers]
+    engine = DominationEngine(graph)
+    gains = [len(engine.add_broker(v)) for v in brokers]
     return brokers, gains

@@ -15,17 +15,19 @@ broker set stays connected **inside the dominated graph**, and therefore
 every covered pair has a B-dominating path (see
 :func:`repro.core.domination.brokers_mutually_connected`).
 
-Implementation notes: candidate vertices live in a lazily re-evaluated
-max-heap keyed by marginal coverage gain (submodularity makes cached gains
-upper bounds); the candidate pool is widened as the region grows.  The
-first broker defaults to the maximum-degree vertex — the paper's step 1
-("select a vertex") leaves the seed free, and the ablation benchmark
-``benchmarks/test_ablation_maxsg_seed.py`` quantifies the choice.
+Implementation notes: :func:`grow_connected` is the loop, shared with
+:func:`repro.core.weighted.weighted_maxsg`.  Candidate vertices live in a
+lazily re-evaluated max-heap keyed by marginal gain (submodularity makes
+cached gains upper bounds); the candidate pool is widened as the region
+grows.  The first broker defaults to the maximum-degree vertex — the
+paper's step 1 ("select a vertex") leaves the seed free, and the ablation
+benchmark ``benchmarks/test_ablation_maxsg_seed.py`` quantifies the choice.
 """
 
 from __future__ import annotations
 
 import heapq
+from typing import Callable
 
 import numpy as np
 
@@ -71,44 +73,43 @@ def maxsg(
     elif not 0 <= seed_vertex < n:
         raise AlgorithmError(f"seed vertex {seed_vertex} out of range")
 
+    engine = DominationEngine(graph)
+    return grow_connected(engine, seed_vertex, budget, engine.marginal_gain)
+
+
+def grow_connected(
+    engine: DominationEngine,
+    seed_vertex: int,
+    budget: int,
+    gain: Callable[[int], float],
+) -> list[int]:
+    """The MaxSG loop: grow one connected dominated region from ``seed_vertex``.
+
+    Each later round adds the vertex within distance two of the region
+    with the largest ``gain(v)`` (ties to the smallest id), until
+    ``budget`` brokers are chosen or no candidate gains anything.
+    """
+    graph = engine.graph
     tracer = get_tracer()
     evaluations = 0
     repops = 0
-    engine = DominationEngine(graph)
-    in_broker_set = np.zeros(n, dtype=bool)
-    in_heap = np.zeros(n, dtype=bool)
+    # seen[v]: v has been a broker or a candidate.  Each vertex enters the
+    # heap from the frontier at most once, so a popped vertex is never a
+    # broker already.
+    seen = np.zeros(engine.num_nodes, dtype=bool)
     # stale_round[v] = selection round in which v's cached gain was computed.
-    stale_round = np.full(n, -1, dtype=np.int64)
-    heap: list[tuple[int, int]] = []
-
-    def push_candidates(new_nodes: np.ndarray, round_no: int) -> None:
-        """Admit uncovered/covered nodes adjacent to the region as candidates."""
-        nonlocal evaluations
-        for v in new_nodes:
-            v = int(v)
-            if in_heap[v] or in_broker_set[v]:
-                continue
-            evaluations += 1
-            gain = engine.marginal_gain(v)
-            if gain <= 0:
-                # Zero-gain vertices may become useful only if gains grew,
-                # which submodularity forbids — drop them permanently.
-                in_heap[v] = True
-                continue
-            in_heap[v] = True
-            stale_round[v] = round_no
-            heapq.heappush(heap, (-gain, v))
-
+    stale_round = np.full(engine.num_nodes, -1, dtype=np.int64)
+    heap: list[tuple[float, int]] = []
     chosen: list[int] = []
     frontier_sizes: list[int] = []
 
     def add_broker(v: int, round_no: int) -> None:
+        nonlocal evaluations
         with tracer.span("maxsg.round", round=round_no, vertex=v) as span:
             # The engine reports the newly covered vertices directly —
             # no covered-mask snapshot/diff per round.
             newly_covered = engine.add_broker(v)
-            gain = len(newly_covered)
-            in_broker_set[v] = True
+            seen[v] = True
             chosen.append(v)
             # Candidate pool: the newly covered vertices and their neighbours —
             # everything now within distance two of a broker.
@@ -116,22 +117,30 @@ def maxsg(
             for u in newly_covered:
                 frontier.update(int(x) for x in graph.neighbors(int(u)))
             frontier_sizes.append(len(frontier))
-            push_candidates(np.fromiter(frontier, dtype=np.int64), round_no)
-            span.set(gain=gain, frontier=len(frontier))
+            for c in frontier:
+                if seen[c]:
+                    continue
+                seen[c] = True
+                evaluations += 1
+                value = gain(c)
+                # A zero-gain vertex could only become useful if gains grew,
+                # which submodularity forbids — drop it permanently.
+                if value > 0:
+                    stale_round[c] = round_no
+                    heapq.heappush(heap, (-value, c))
+            span.set(gain=len(newly_covered), frontier=len(frontier))
 
     add_broker(seed_vertex, 0)
     round_no = 1
     while len(chosen) < budget and heap:
         neg_gain, v = heapq.heappop(heap)
-        if in_broker_set[v]:
-            continue
         if stale_round[v] != round_no:
             evaluations += 1
-            gain = engine.marginal_gain(v)
+            value = gain(v)
             stale_round[v] = round_no
-            if gain > 0:
+            if value > 0:
                 repops += 1
-                heapq.heappush(heap, (-gain, v))
+                heapq.heappush(heap, (-value, v))
             continue
         if -neg_gain <= 0:
             break

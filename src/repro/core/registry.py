@@ -29,17 +29,12 @@ from repro.graph.asgraph import ASGraph
 
 __all__ = [
     "AlgorithmSpec",
-    "IndexSpec",
     "ParamSpec",
     "algorithm_names",
-    "all_index_specs",
     "all_specs",
     "canonical_params",
     "get_algorithm",
-    "get_index",
-    "index_names",
     "register_algorithm",
-    "register_index",
     "registry_fingerprint",
     "resolve_backend",
     "run_algorithm",
@@ -86,44 +81,7 @@ class AlgorithmSpec:
         }
 
 
-@dataclass(frozen=True)
-class IndexSpec:
-    """A registered serving index family.
-
-    ``builder`` has the signature ``build(engine) -> index`` where the
-    returned index offers ``to_payload()`` / ``from_payload()`` for
-    result-cache round-trips.  ``params`` document the (fixed) build
-    policy — they ride into cache keys through
-    :func:`registry_fingerprint`, so changing a family's policy
-    invalidates its cached payloads like any roster change.
-    """
-
-    name: str
-    summary: str
-    capabilities: tuple[str, ...] = ()
-    params: tuple[ParamSpec, ...] = ()
-    builder: Callable | None = field(default=None, repr=False)
-
-    def describe(self) -> dict:
-        """JSON-safe description (``repro algorithms --json`` emits it)."""
-        return {
-            "name": self.name,
-            "summary": self.summary,
-            "capabilities": list(self.capabilities),
-            "params": [
-                {
-                    "name": p.name,
-                    "kind": p.kind,
-                    "default": p.default,
-                    "summary": p.summary,
-                }
-                for p in self.params
-            ],
-        }
-
-
 _REGISTRY: dict[str, AlgorithmSpec] = {}
-_INDEXES: dict[str, IndexSpec] = {}
 
 
 def resolve_backend(_requested: str | None = None) -> str:
@@ -135,34 +93,6 @@ def resolve_backend(_requested: str | None = None) -> str:
     ignored.
     """
     return "python"
-
-
-def register_index(spec: IndexSpec) -> IndexSpec:
-    """Register a serving index family; duplicate names are an error."""
-    if spec.name in _INDEXES:
-        raise AlgorithmError(f"index {spec.name!r} is already registered")
-    _INDEXES[spec.name] = spec
-    return spec
-
-
-def get_index(name: str) -> IndexSpec:
-    """Look up a registered index family by name."""
-    spec = _INDEXES.get(name)
-    if spec is None:
-        raise AlgorithmError(
-            f"unknown serving index {name!r}; choose from {index_names()}"
-        )
-    return spec
-
-
-def index_names() -> tuple[str, ...]:
-    """Registered index family names in registration order."""
-    return tuple(_INDEXES)
-
-
-def all_index_specs() -> tuple[IndexSpec, ...]:
-    """All registered index families in registration order."""
-    return tuple(_INDEXES.values())
 
 
 def register_algorithm(spec: AlgorithmSpec) -> AlgorithmSpec:
@@ -220,25 +150,18 @@ def canonical_params(name: str, params: dict | None = None) -> dict:
 def registry_fingerprint() -> str:
     """Stable digest of the roster: names, budgetedness, default knobs.
 
-    Experiment cache keys embed this, so cached results invalidate when
-    an algorithm is added, removed, or changes its declared defaults —
-    without each call site enumerating the roster itself.  The serving
-    index families and their build policies ride along for the same
-    reason.
+    Experiment cache keys and serving index cache keys embed this, so
+    cached results invalidate when an algorithm is added, removed, or
+    changes its declared defaults — without each call site enumerating
+    the roster itself.
     """
     import hashlib
     import json
 
     payload = json.dumps(
         [
-            [
-                [spec.name, spec.budgeted, canonical_params(spec.name)]
-                for spec in all_specs()
-            ],
-            [
-                [spec.name, {p.name: p.default for p in spec.params}]
-                for spec in all_index_specs()
-            ],
+            [spec.name, spec.budgeted, canonical_params(spec.name)]
+            for spec in all_specs()
         ],
         sort_keys=True,
     )
@@ -380,28 +303,3 @@ register_algorithm(AlgorithmSpec(
     runner=_run_tier1,
 ))
 
-
-# ----------------------------------------------------------------------
-# Serving index families.  Builders import lazily: the serving package
-# resolves this registry at import time, so a top-level import here
-# would be circular.
-# ----------------------------------------------------------------------
-
-
-def _build_hub2(engine):
-    from repro.serving.labels import HubLabelIndex
-
-    return HubLabelIndex.build(engine)
-
-
-register_index(IndexSpec(
-    name="hub2",
-    summary="2-hop hub labels (pruned landmark labeling) over the "
-            "broker-dominated subgraph",
-    capabilities=("serving", "distance", "path", "incremental-repair"),
-    params=(
-        ParamSpec("order", "str", "degree",
-                  "root processing order (degree desc, id asc)"),
-    ),
-    builder=_build_hub2,
-))

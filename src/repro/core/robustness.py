@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.connectivity import saturated_connectivity
 from repro.core.engine import DominationEngine
+from repro.core.greedy import celf
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
 from repro.graph.csr import build_csr
@@ -99,9 +100,9 @@ def failure_sweep(
     order.  Every reported point is then an O(1) pair-sum query against
     one shared union-find (a single connected-components pass total),
     instead of one full SciPy pass per point.  Values are bit-identical
-    to the from-scratch formulation (see
-    :func:`failure_sweep_reference`, kept for differential tests and
-    the speedup benchmark).
+    to the from-scratch formulation, one full connectivity evaluation
+    per point (``tests/oracles/robustness.py`` keeps it for differential
+    tests and the speedup benchmark).
     """
     brokers, order, removed_counts, limit = _sweep_plan(
         graph, brokers, strategy, max_failures, step, seed
@@ -120,44 +121,6 @@ def failure_sweep(
     return FailureSweepResult(
         removed=np.asarray(removed_counts),
         connectivity=np.asarray(list(reversed(values_rev))),
-        strategy=strategy,
-    )
-
-
-def failure_sweep_reference(
-    graph: ASGraph,
-    brokers: list[int],
-    *,
-    strategy: str = "random",
-    max_failures: int | None = None,
-    step: int = 1,
-    seed: SeedLike = 0,
-) -> FailureSweepResult:
-    """From-scratch :func:`failure_sweep`: one full connectivity
-    evaluation per reported point.
-
-    Kept as the differential-testing oracle and the baseline the engine
-    speedup benchmark measures against.
-    """
-    brokers, order, removed_counts, _ = _sweep_plan(
-        graph, brokers, strategy, max_failures, step, seed
-    )
-    mask = np.zeros(graph.num_nodes, dtype=bool)
-    mask[brokers] = True
-    surviving = len(brokers)
-    connectivity = []
-    removed_so_far = 0
-    for k in removed_counts:
-        for b in order[removed_so_far:k]:
-            mask[b] = False
-        surviving -= k - removed_so_far
-        removed_so_far = k
-        connectivity.append(
-            saturated_connectivity(graph, mask) if surviving else 0.0
-        )
-    return FailureSweepResult(
-        removed=np.asarray(removed_counts),
-        connectivity=np.asarray(connectivity),
         strategy=strategy,
     )
 
@@ -260,39 +223,16 @@ def redundant_greedy(graph: ASGraph, budget: int, redundancy: int = 2) -> list[i
         raise AlgorithmError(f"redundancy must be >= 1, got {redundancy}")
     if budget < 1 or budget > graph.num_nodes:
         raise AlgorithmError(f"budget {budget} out of range")
-    n = graph.num_nodes
     engine = DominationEngine(graph)
     hits = engine.hits_view
-    chosen: list[int] = []
-    chosen_mask = np.zeros(n, dtype=bool)
-    import heapq
 
     def gain(v: int) -> int:
         neigh = graph.neighbors(v)
         closed_hits = np.concatenate([hits[neigh], hits[v : v + 1]])
         return int(np.count_nonzero(closed_hits < redundancy))
 
-    heap = [(-gain(v), v) for v in range(n)]
-    heapq.heapify(heap)
-    stale = np.zeros(n, dtype=np.int64)
-    round_no = 0
-    while heap and len(chosen) < budget:
-        neg_g, v = heapq.heappop(heap)
-        if chosen_mask[v]:
-            continue
-        if stale[v] != round_no:
-            g = gain(v)
-            stale[v] = round_no
-            if g > 0:
-                heapq.heappush(heap, (-g, v))
-            continue
-        if -neg_g <= 0:
-            break
-        engine.add_broker(int(v))
-        chosen.append(int(v))
-        chosen_mask[v] = True
-        round_no += 1
-    return chosen
+    heap = [(-gain(v), v) for v in range(graph.num_nodes)]
+    return celf(engine, heap, gain, budget)
 
 
 def r_covered_fraction(graph: ASGraph, brokers: list[int], redundancy: int) -> float:

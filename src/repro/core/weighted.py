@@ -4,13 +4,17 @@ The paper's objective counts every vertex equally, but its motivation is
 traffic: 82 % of 2020 IP traffic is video, concentrated on a minority of
 source/destination ASes.  This module generalizes the coverage function
 to ``f_w(B) = Σ_{v ∈ B ∪ N(B)} w(v)`` — covering an AS is worth its
-traffic share — and re-derives the selection machinery:
+traffic share.  The selection loops are the unweighted ones; only the
+gain changes:
 
-* :class:`WeightedCoverageOracle` — incremental weighted-gain queries;
-* :func:`weighted_greedy` — Algorithm 1 under ``f_w`` (``f_w`` is still
-  monotone submodular, so the ``(1 − 1/e)`` guarantee carries over);
-* :func:`weighted_maxsg` — Algorithm 3 under ``f_w`` (connected region
-  growth, so the MCBG dominating-path guarantee is preserved);
+* :func:`weighted_gain` — the marginal gain of ``f_w`` over a
+  :class:`~repro.core.engine.DominationEngine`'s covered mask;
+* :func:`weighted_greedy` — Algorithm 1's CELF loop under ``f_w``
+  (``f_w`` is still monotone submodular, so the ``(1 − 1/e)``
+  guarantee carries over);
+* :func:`weighted_maxsg` — Algorithm 3's region-growth loop under
+  ``f_w`` (connected growth, so the MCBG dominating-path guarantee is
+  preserved);
 * :func:`traffic_weights` — a Zipf traffic model over ASes (IXPs carry
   no endpoint traffic of their own).
 
@@ -20,12 +24,14 @@ is provided for evaluation symmetry.
 
 from __future__ import annotations
 
-import heapq
+from typing import Callable
 
 import numpy as np
 
 from repro.core.domination import dominated_adjacency
 from repro.core.engine import DominationEngine
+from repro.core.greedy import celf
+from repro.core.maxsg import grow_connected
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
 from repro.graph.csr import connected_components
@@ -59,55 +65,30 @@ def traffic_weights(
     return weights
 
 
-class WeightedCoverageOracle:
-    """Incremental evaluator of ``f_w(B) = Σ_{v ∈ B ∪ N(B)} w(v)``."""
+def weighted_gain(
+    engine: DominationEngine, weights: np.ndarray
+) -> Callable[[int], float]:
+    """``gain(v) = f_w(B ∪ {v}) − f_w(B)`` over ``engine``'s covered mask.
 
-    def __init__(self, graph: ASGraph, weights: np.ndarray) -> None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (graph.num_nodes,):
-            raise AlgorithmError(
-                f"weights must have shape ({graph.num_nodes},), got {weights.shape}"
-            )
-        if (weights < 0).any():
-            raise AlgorithmError("weights must be non-negative")
-        self._graph = graph
-        self._weights = weights
-        self._engine = DominationEngine(graph)
-        self._brokers: list[int] = []
+    Raises :class:`AlgorithmError` unless ``weights`` has one
+    non-negative entry per vertex.
+    """
+    graph = engine.graph
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (graph.num_nodes,):
+        raise AlgorithmError(
+            f"weights must have shape ({graph.num_nodes},), got {weights.shape}"
+        )
+    if (weights < 0).any():
+        raise AlgorithmError("weights must be non-negative")
 
-    @property
-    def covered_mask(self) -> np.ndarray:
-        return self._engine.covered_view
+    def gain(v: int) -> float:
+        covered = engine.covered_view
+        own = 0.0 if covered[v] else float(weights[v])
+        neigh = graph.neighbors(v)
+        return own + float(weights[neigh[~covered[neigh]]].sum())
 
-    @property
-    def brokers(self) -> list[int]:
-        return list(self._brokers)
-
-    def coverage(self) -> float:
-        return float(self._weights[self._engine.covered_view].sum())
-
-    def marginal_gain(self, v: int) -> float:
-        covered = self._engine.covered_view
-        gain = 0.0 if covered[v] else float(self._weights[v])
-        neigh = self._graph.neighbors(v)
-        fresh = neigh[~covered[neigh]]
-        return gain + float(self._weights[fresh].sum())
-
-    def add(self, v: int) -> float:
-        if not 0 <= v < self._graph.num_nodes:
-            raise AlgorithmError(f"broker id {v} out of range")
-        gain = self.marginal_gain(v)
-        self._engine.add_broker(int(v))
-        self._brokers.append(int(v))
-        return gain
-
-    def add_newly(self, v: int) -> np.ndarray:
-        """Add ``v`` and return the newly covered vertex ids."""
-        if not 0 <= v < self._graph.num_nodes:
-            raise AlgorithmError(f"broker id {v} out of range")
-        newly = self._engine.add_broker(int(v))
-        self._brokers.append(int(v))
-        return newly
+    return gain
 
 
 def weighted_greedy(
@@ -115,32 +96,14 @@ def weighted_greedy(
 ) -> list[int]:
     """Lazy greedy maximization of ``f_w`` (Algorithm 1, weighted).
 
-    Identical structure to the unweighted CELF loop; cached gains are
+    The unweighted CELF loop with the weighted gain; cached gains are
     upper bounds by submodularity of ``f_w``.
     """
     _check_budget(graph, budget)
-    oracle = WeightedCoverageOracle(graph, weights)
-    heap: list[tuple[float, int]] = [
-        (-oracle.marginal_gain(v), v) for v in range(graph.num_nodes)
-    ]
-    heapq.heapify(heap)
-    stale = np.zeros(graph.num_nodes, dtype=np.int64)
-    round_no = 0
-    chosen: list[int] = []
-    while heap and len(chosen) < budget:
-        neg_gain, v = heapq.heappop(heap)
-        if stale[v] != round_no:
-            gain = oracle.marginal_gain(v)
-            stale[v] = round_no
-            if gain > 0:
-                heapq.heappush(heap, (-gain, v))
-            continue
-        if -neg_gain <= 0:
-            break
-        oracle.add(v)
-        chosen.append(v)
-        round_no += 1
-    return chosen
+    engine = DominationEngine(graph)
+    gain = weighted_gain(engine, weights)
+    heap = [(-gain(v), v) for v in range(graph.num_nodes)]
+    return celf(engine, heap, gain, budget)
 
 
 def weighted_maxsg(
@@ -158,63 +121,19 @@ def weighted_maxsg(
     neighbourhood.
     """
     _check_budget(graph, budget)
-    weights = np.asarray(weights, dtype=np.float64)
-    oracle = WeightedCoverageOracle(graph, weights)
+    engine = DominationEngine(graph)
+    gain = weighted_gain(engine, weights)
     n = graph.num_nodes
     if seed_vertex is None:
         best, best_gain = 0, -1.0
         for v in range(n):
-            gain = oracle.marginal_gain(v)
-            if gain > best_gain:
-                best, best_gain = v, gain
+            value = gain(v)
+            if value > best_gain:
+                best, best_gain = v, value
         seed_vertex = best
     elif not 0 <= seed_vertex < n:
         raise AlgorithmError(f"seed vertex {seed_vertex} out of range")
-
-    in_set = np.zeros(n, dtype=bool)
-    in_heap = np.zeros(n, dtype=bool)
-    stale = np.full(n, -1, dtype=np.int64)
-    heap: list[tuple[float, int]] = []
-    chosen: list[int] = []
-
-    def admit(nodes: np.ndarray, round_no: int) -> None:
-        for v in nodes:
-            v = int(v)
-            if in_heap[v] or in_set[v]:
-                continue
-            in_heap[v] = True
-            gain = oracle.marginal_gain(v)
-            if gain > 0:
-                stale[v] = round_no
-                heapq.heappush(heap, (-gain, v))
-
-    def add(v: int, round_no: int) -> None:
-        # The engine reports the newly covered vertices directly.
-        fresh = oracle.add_newly(v)
-        in_set[v] = True
-        chosen.append(v)
-        frontier = set(int(x) for x in fresh)
-        for u in fresh:
-            frontier.update(int(x) for x in graph.neighbors(int(u)))
-        admit(np.fromiter(frontier, dtype=np.int64), round_no)
-
-    add(seed_vertex, 0)
-    round_no = 1
-    while len(chosen) < budget and heap:
-        neg_gain, v = heapq.heappop(heap)
-        if in_set[v]:
-            continue
-        if stale[v] != round_no:
-            gain = oracle.marginal_gain(v)
-            stale[v] = round_no
-            if gain > 0:
-                heapq.heappush(heap, (-gain, v))
-            continue
-        if -neg_gain <= 0:
-            break
-        add(v, round_no)
-        round_no += 1
-    return chosen
+    return grow_connected(engine, seed_vertex, budget, gain)
 
 
 def weighted_saturated_connectivity(

@@ -27,9 +27,9 @@ which are already correct), and after ``k`` iterations the first ``k``
 flows are final — so the loop terminates, in practice after a handful of
 rounds.  Demand classes are powers of two (:data:`DEMAND_CLASSES`), so
 every partial sum of demands is exact in float64 regardless of
-summation order and the kernel is **bit-identical** to the per-flow
-reference oracle (:func:`admit_stream_reference`), which the
-differential tests pin.
+summation order and the kernel is **bit-identical** to a per-flow
+reference loop (``tests/oracles/admission.py``), which the differential
+tests pin.
 
 On top of the kernel, :func:`run_admission_study` sweeps offered load,
 reports accept ratios and saturation, re-scores the broker set under
@@ -265,35 +265,6 @@ def admit_batch(
     np.add.at(used, e_sorted, np.where(admitted[f_sorted], d_sorted, 0.0))
     return AdmissionOutcome(
         admitted=admitted, residual=capacity - used, iterations=iterations
-    )
-
-
-def admit_stream_reference(
-    capacity: np.ndarray,
-    pool: PathPool,
-    flow_paths: np.ndarray,
-    flow_demands: np.ndarray,
-) -> AdmissionOutcome:
-    """Per-flow Python-loop oracle with the exact sequential semantics.
-
-    The differential tests run this against :func:`admit_batch` on
-    sampled streams; the two must agree bit-for-bit.
-    """
-    capacity = np.ascontiguousarray(capacity, dtype=np.float64)
-    flow_paths = np.asarray(flow_paths, dtype=np.int64)
-    flow_demands = np.asarray(flow_demands, dtype=np.float64)
-    _validate_stream(capacity, pool, flow_paths, flow_demands)
-    used = np.zeros(len(capacity), dtype=np.float64)
-    admitted = np.zeros(len(flow_paths), dtype=bool)
-    for i in range(len(flow_paths)):
-        p = int(flow_paths[i])
-        edges = pool.instances[pool.indptr[p] : pool.indptr[p + 1]]
-        demand = float(flow_demands[i])
-        if np.all(used[edges] + demand <= capacity[edges]):
-            used[edges] += demand
-            admitted[i] = True
-    return AdmissionOutcome(
-        admitted=admitted, residual=capacity - used, iterations=len(flow_paths)
     )
 
 

@@ -34,13 +34,14 @@ def best_coverage_candidate(
     """Highest coverage-gain recruit under the MaxSG connected-growth rule.
 
     Candidates are the covered region and its frontier (so the dominated
-    region keeps growing connectedly, as in
-    ``IncrementalBrokerSet._repair``), falling back to uncovered
-    vertices when faults have detached whole regions.  ``excluded``
-    vertices (current brokers, crashed brokers, pending recruits) are
-    never eligible.  Deterministic: candidates scan in ascending id and
-    ties break to the smallest id.  Shared by the SLA self-healer and
-    the convergence simulator's repair planner so both make identical
+    region keeps growing connectedly), falling back to uncovered
+    vertices when faults have detached whole regions; a dead vertex
+    gains 0, so it is never picked.  ``excluded`` vertices (current
+    brokers, crashed brokers, pending recruits) are never eligible.
+    Deterministic: candidates scan in ascending id and ties break to the
+    smallest id.  Shared by the SLA self-healer, the convergence
+    simulator's repair planner and the churn maintainer
+    (``IncrementalBrokerSet._repair``), so all three make identical
     recruiting decisions.
     """
     covered = engine.covered_view

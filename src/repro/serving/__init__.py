@@ -28,7 +28,7 @@ import json
 
 import numpy as np
 
-from repro.core.registry import get_index, registry_fingerprint
+from repro.core.registry import registry_fingerprint
 from repro.exceptions import AlgorithmError
 from repro.obs import metrics as _metrics
 from repro.serving.labels import (
@@ -89,32 +89,23 @@ def engine_state_digest(engine) -> str:
     return hashlib.sha256(material.encode()).hexdigest()
 
 
-def build_index(
-    engine, *, family: str = "hub2", cache=None
-) -> HubLabelIndex:
-    """Build (or cache-load) a serving index over ``engine``.
+def build_index(engine, *, cache=None) -> HubLabelIndex:
+    """Build (or cache-load) the hub-label index over ``engine``.
 
-    ``family`` resolves through the central registry
-    (:func:`repro.core.registry.get_index`).  With a
-    :class:`repro.parallel.cache.ResultCache`, the serialized index is
-    content-addressed by the engine state digest, the family's declared
-    parameters, and the registry fingerprint — so payloads invalidate
-    when the roster or the build policy changes, exactly like cached
-    experiment results.  A cache file is outside input: an entry that
-    fails :meth:`HubLabelIndex.from_payload` validation is treated as a
-    miss — rebuilt, overwritten and counted in
-    ``serving.index.cache_rejects``.
+    With a :class:`repro.parallel.cache.ResultCache`, the serialized
+    index is content-addressed by the engine state digest and the
+    registry fingerprint — so payloads invalidate when the roster
+    changes, exactly like cached experiment results.  A cache file is
+    outside input: an entry that fails
+    :meth:`HubLabelIndex.from_payload` validation is treated as a miss —
+    rebuilt, overwritten and counted in ``serving.index.cache_rejects``.
     """
-    spec = get_index(family)
     if cache is None:
-        return spec.builder(engine)
+        return HubLabelIndex.build(engine)
     entry = {
         "graph_digest": engine_state_digest(engine),
-        "algorithm": f"serving-index-{family}",
-        "params": {
-            "policy": {p.name: p.default for p in spec.params},
-            "registry": registry_fingerprint(),
-        },
+        "algorithm": "serving-index-hub2",
+        "params": {"registry": registry_fingerprint()},
     }
     payload = cache.get(**entry)
     if payload is not None:
@@ -122,6 +113,6 @@ def build_index(
             return HubLabelIndex.from_payload(payload)
         except AlgorithmError:
             _metrics.add_counter("serving.index.cache_rejects")
-    index = spec.builder(engine)
+    index = HubLabelIndex.build(engine)
     cache.put(index.to_payload(), **entry)
     return index

@@ -1,16 +1,14 @@
 """Dynamic-system substrate: churn, the SLA marketplace, and convergence.
 
 :mod:`repro.simulation.convergence` is imported lazily by its users —
-it pulls in the resilience and routing layers, which some lightweight
-churn consumers do not need.
+it pulls in the BGP model and the event-driven simulators, which churn
+consumers do not need.
 """
 
 from repro.simulation.churn import (
     ChurnEvent,
     ChurnTrace,
     IncrementalBrokerSet,
-    IncrementalBrokerSetReference,
-    MutableTopology,
     generate_churn_trace,
 )
 from repro.simulation.marketplace import (
@@ -24,8 +22,6 @@ __all__ = [
     "ChurnTrace",
     "generate_churn_trace",
     "IncrementalBrokerSet",
-    "IncrementalBrokerSetReference",
-    "MutableTopology",
     "ServiceRequest",
     "MarketplaceReport",
     "simulate_marketplace",

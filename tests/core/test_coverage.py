@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.coverage import (
-    CoverageOracle,
     coverage_fraction,
     coverage_value,
     covered_mask,
 )
+from repro.core.engine import DominationEngine
 from repro.exceptions import AlgorithmError
 
 
@@ -42,8 +42,11 @@ class TestCoverageValue:
 
 
 class TestCoverageOracle:
+    """The engine's incremental coverage queries, the ones every
+    selection loop runs on, against the one-shot evaluator."""
+
     def test_marginal_gain_matches_direct(self, tiny_internet):
-        oracle = CoverageOracle(tiny_internet)
+        engine = DominationEngine(tiny_internet)
         rng = np.random.default_rng(0)
         chosen = []
         for v in rng.choice(tiny_internet.num_nodes, size=12, replace=False):
@@ -51,37 +54,37 @@ class TestCoverageOracle:
             expected = coverage_value(tiny_internet, chosen + [v]) - coverage_value(
                 tiny_internet, chosen
             )
-            assert oracle.marginal_gain(v) == expected
-            oracle.add(v)
+            assert engine.marginal_gain(v) == expected
+            engine.add_broker(v)
             chosen.append(v)
 
     def test_add_returns_gain(self, star10):
-        oracle = CoverageOracle(star10)
-        assert oracle.add(0) == 10
-        assert oracle.add(1) == 0
+        engine = DominationEngine(star10)
+        assert len(engine.add_broker(0)) == 10
+        assert len(engine.add_broker(1)) == 0
 
     def test_coverage_accumulates(self, path10):
-        oracle = CoverageOracle(path10)
-        oracle.add(0)
-        oracle.add(9)
-        assert oracle.coverage() == 4
-        assert oracle.brokers == [0, 9]
+        engine = DominationEngine(path10)
+        engine.add_broker(0)
+        engine.add_broker(9)
+        assert engine.coverage() == 4
+        assert engine.brokers() == [0, 9]
 
     def test_uncovered_count(self, path10):
-        oracle = CoverageOracle(path10)
-        oracle.add(5)
-        assert oracle.uncovered_count() == 7
+        engine = DominationEngine(path10)
+        engine.add_broker(5)
+        assert path10.num_nodes - engine.coverage() == 7
 
     def test_invalid_broker(self, path10):
-        oracle = CoverageOracle(path10)
+        engine = DominationEngine(path10)
         with pytest.raises(AlgorithmError):
-            oracle.add(-1)
+            engine.add_broker(-1)
 
     def test_is_covered(self, path10):
-        oracle = CoverageOracle(path10)
-        oracle.add(0)
-        assert oracle.is_covered(1)
-        assert not oracle.is_covered(2)
+        engine = DominationEngine(path10)
+        engine.add_broker(0)
+        assert engine.is_covered(1)
+        assert not engine.is_covered(2)
 
 
 class TestSubmodularity:

@@ -2,18 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.coverage import coverage_value
 from repro.core.domination import brokers_mutually_connected
+from repro.core.engine import DominationEngine
 from repro.core.greedy import lazy_greedy_max_coverage
+from repro.core.maxsg import maxsg
+from repro.core.robustness import redundant_greedy
 from repro.core.weighted import (
-    WeightedCoverageOracle,
     traffic_weights,
+    weighted_gain,
     weighted_greedy,
     weighted_maxsg,
     weighted_saturated_connectivity,
 )
 from repro.exceptions import AlgorithmError
+from repro.graph.asgraph import ASGraph
+from tests import fixtures
 
 
 class TestTrafficWeights:
@@ -41,38 +48,64 @@ class TestTrafficWeights:
 
 
 class TestWeightedOracle:
+    """The weighted gain over the engine's covered mask."""
+
     def test_uniform_weights_match_unweighted(self, star10):
         w = np.ones(10)
-        oracle = WeightedCoverageOracle(star10, w)
-        assert oracle.marginal_gain(0) == pytest.approx(10.0)
-        oracle.add(0)
-        assert oracle.coverage() == pytest.approx(10.0)
+        engine = DominationEngine(star10)
+        gain = weighted_gain(engine, w)
+        assert gain(0) == pytest.approx(10.0)
+        engine.add_broker(0)
+        assert w[engine.covered_view].sum() == pytest.approx(10.0)
 
     def test_marginal_matches_recompute(self, tiny_internet):
         w = traffic_weights(tiny_internet, seed=0)
-        oracle = WeightedCoverageOracle(tiny_internet, w)
+        engine = DominationEngine(tiny_internet)
+        gain = weighted_gain(engine, w)
         rng = np.random.default_rng(1)
         total = 0.0
         for v in rng.choice(tiny_internet.num_nodes, size=10, replace=False):
-            gain = oracle.marginal_gain(int(v))
-            realized = oracle.add(int(v))
-            assert gain == pytest.approx(realized)
+            expected = gain(int(v))
+            realized = float(w[engine.add_broker(int(v))].sum())
+            assert expected == pytest.approx(realized)
             total += realized
-        assert oracle.coverage() == pytest.approx(total)
+        assert w[engine.covered_view].sum() == pytest.approx(total)
 
     def test_shape_validation(self, star10):
-        with pytest.raises(AlgorithmError):
-            WeightedCoverageOracle(star10, np.ones(5))
-        with pytest.raises(AlgorithmError):
-            WeightedCoverageOracle(star10, -np.ones(10))
+        for bad in (np.ones(5), -np.ones(10)):
+            with pytest.raises(AlgorithmError):
+                weighted_gain(DominationEngine(star10), bad)
+            with pytest.raises(AlgorithmError):
+                weighted_greedy(star10, bad, 2)
+            with pytest.raises(AlgorithmError):
+                weighted_maxsg(star10, bad, 2)
+
+
+@st.composite
+def random_graphs(draw, max_nodes=30):
+    n = draw(st.integers(3, max_nodes))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(
+        st.lists(st.sampled_from(possible), min_size=1,
+                 max_size=min(70, len(possible)), unique=True)
+    )
+    return ASGraph.from_edges(n, edges)
 
 
 class TestWeightedGreedy:
-    def test_uniform_weights_equal_unweighted(self, tiny_internet):
-        w = np.ones(tiny_internet.num_nodes)
-        assert weighted_greedy(tiny_internet, w, 10) == lazy_greedy_max_coverage(
-            tiny_internet, 10
-        )
+    @given(random_graphs(), st.integers(1, 10))
+    @example(fixtures.internet("tiny", 1), 10)
+    @settings(max_examples=60, deadline=None)
+    def test_uniform_weights_equal_unweighted(self, graph, budget):
+        """Unit weights and ``r = 1`` reduce both extensions to ``f``, so
+        the shared CELF and MaxSG loops must pick the same brokers,
+        ties included."""
+        budget = min(budget, graph.num_nodes)
+        w = np.ones(graph.num_nodes)
+        lazy = lazy_greedy_max_coverage(graph, budget)
+        assert weighted_greedy(graph, w, budget) == lazy
+        assert redundant_greedy(graph, budget, redundancy=1) == lazy
+        assert weighted_maxsg(graph, w, budget) == maxsg(graph, budget)
 
     def test_chases_heavy_vertices(self, path10):
         w = np.zeros(10)

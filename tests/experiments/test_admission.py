@@ -10,7 +10,6 @@ from repro.experiments.admission import (
     DEMAND_CLASSES,
     PathPool,
     admit_batch,
-    admit_stream_reference,
     build_path_pool,
     draw_flows,
     rescore_brokers_by_residual,
@@ -19,6 +18,7 @@ from repro.experiments.admission import (
 from repro.experiments.config import ExperimentConfig
 from repro.graph.generators import parallel_multigraph
 from tests import fixtures
+from tests.oracles.admission import admit_stream_reference
 
 
 def tiny_multigraph():

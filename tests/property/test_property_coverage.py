@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coverage import CoverageOracle, coverage_value
+from repro.core.coverage import coverage_value
+from repro.core.engine import DominationEngine
 from repro.core.greedy import greedy_max_coverage, lazy_greedy_max_coverage
 from repro.graph.asgraph import ASGraph
 
@@ -63,12 +64,12 @@ class TestCoverageProperties:
     @given(graph_with_brokers())
     @settings(max_examples=40, deadline=None)
     def test_oracle_consistency(self, gb):
-        """Incremental oracle == from-scratch evaluation at every prefix."""
+        """Incremental engine == from-scratch evaluation at every prefix."""
         g, brokers = gb
-        oracle = CoverageOracle(g)
+        engine = DominationEngine(g)
         for i, v in enumerate(brokers):
-            oracle.add(v)
-            assert oracle.coverage() == coverage_value(g, brokers[: i + 1])
+            engine.add_broker(v)
+            assert engine.coverage() == coverage_value(g, brokers[: i + 1])
 
 
 class TestGreedyProperties:

@@ -14,13 +14,11 @@ from hypothesis import strategies as st
 
 from repro.core.engine import DominationEngine
 from repro.core.maxsg import maxsg
-from repro.core.robustness import failure_sweep, failure_sweep_reference
+from repro.core.robustness import failure_sweep
 from repro.graph.asgraph import ASGraph
-from repro.simulation.churn import (
-    IncrementalBrokerSet,
-    IncrementalBrokerSetReference,
-    generate_churn_trace,
-)
+from repro.simulation.churn import IncrementalBrokerSet, generate_churn_trace
+from tests.oracles.churn import IncrementalBrokerSetReference
+from tests.oracles.robustness import failure_sweep_reference
 
 OPS = (
     "add_broker",

@@ -375,10 +375,6 @@ class TestCachedBuild:
         assert cold.to_payload() == warm.to_payload()
         assert warm.verify()
 
-    def test_unknown_family_rejected(self, engine):
-        with pytest.raises(AlgorithmError):
-            build_index(engine, family="no-such-index")
-
     @pytest.mark.parametrize("field,corrupt", CORRUPTIONS,
                              ids=[c.__name__ for _, c in CORRUPTIONS])
     def test_from_payload_names_the_bad_field(self, engine, field, corrupt):

@@ -1,8 +1,15 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestParser:
@@ -514,6 +521,40 @@ class TestKernelBackendFlagGone:
             main(argv)
         assert exc.value.code == 2
         assert "--kernel-backend" in capsys.readouterr().err
+
+
+class TestIndexFlagGone:
+    """The hub-label index is the only serving index; there is no family
+    to pick."""
+
+    def test_flag_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--scale", "tiny", "--index", "hub2"])
+        assert exc.value.code == 2
+        assert "--index" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_prints_no_traceback(self):
+        """A reader that closes the pipe (``| head``) ends the command
+        without a traceback.  The read end is closed before the CLI
+        starts, so its first write always meets a closed pipe."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH")) if p
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "algorithms", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert "Traceback" not in err, err
+        assert "BrokenPipeError" not in err, err
 
 
 class TestAdmission:
