@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.connectivity import connectivity_curve, saturated_connectivity
-from repro.core.domination import dominated_matrix
+from repro.core.domination import dominated_adjacency
 from repro.core.engine import DominationEngine
 from repro.core.greedy import lazy_greedy_max_coverage
 from repro.core.maxsg import maxsg
@@ -58,9 +58,9 @@ def test_maxsg(benchmark, graph, budget):
     benchmark(maxsg, graph, budget)
 
 
-def test_dominated_matrix_build(benchmark, graph, budget):
+def test_dominated_adjacency_build(benchmark, graph, budget):
     brokers = maxsg(graph, budget)
-    benchmark(dominated_matrix, graph, brokers)
+    benchmark(dominated_adjacency, graph, brokers)
 
 
 def test_saturated_connectivity(benchmark, graph, budget):

@@ -11,9 +11,7 @@ from repro.core.baselines import (
 )
 from repro.core.connectivity import (
     ConnectivityCurve,
-    connectivity_at,
     connectivity_curve,
-    marginal_connectivity_gain,
     path_inflation,
     saturated_connectivity,
 )
@@ -24,11 +22,7 @@ from repro.core.coverage import (
 )
 from repro.core.domination import (
     brokers_mutually_connected,
-    dominated_matrix,
-    dominating_path_length,
-    has_dominating_path,
     is_dominating_path,
-    verify_mcbg_solution,
 )
 from repro.core.engine import DominationEngine
 from repro.core.exact import exact_mcb, exact_mcbg, exact_pds
@@ -73,7 +67,6 @@ from repro.core.problems import (
     MCBInstance,
     PathLengthConstrainedInstance,
     PDSInstance,
-    pairwise_dominating_guarantee_fraction,
     solve_pds_greedy,
 )
 from repro.core.selector import (
@@ -89,7 +82,6 @@ __all__ = [
     "MCBGInstance",
     "PathLengthConstrainedInstance",
     "solve_pds_greedy",
-    "pairwise_dominating_guarantee_fraction",
     # coverage
     "coverage_value",
     "coverage_fraction",
@@ -112,17 +104,11 @@ __all__ = [
     "random_brokers",
     # domination / connectivity
     "is_dominating_path",
-    "has_dominating_path",
-    "dominating_path_length",
-    "dominated_matrix",
     "brokers_mutually_connected",
-    "verify_mcbg_solution",
     "ConnectivityCurve",
     "connectivity_curve",
-    "connectivity_at",
     "saturated_connectivity",
     "path_inflation",
-    "marginal_connectivity_gain",
     # path-length constraints
     "FeasibilityReport",
     "evaluate_feasibility",

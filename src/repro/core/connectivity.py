@@ -12,6 +12,10 @@ Exact computation is one BFS per vertex; the bit-parallel kernel
 in the bit columns of a block array and counts each hop with popcounts.
 Uniform source sampling has identical semantics for the larger scales.
 Saturated connectivity is always exact (connected components).
+
+Both evaluate a fixed broker set once; as brokers come and go one at a
+time, :class:`repro.core.engine.DominationEngine` tracks saturated
+connectivity instead.  The l-hop curve is what the engine cannot answer.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.core.domination import dominated_matrix
+from repro.core.domination import dominated_adjacency
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
 from repro.graph.bitset import bitset_hop_reach
-from repro.graph.csr import connected_components
+from repro.graph.csr import connected_pair_fraction
 from repro.obs import profiled
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -64,7 +68,7 @@ def _effective_matrix(
 ) -> sparse.csr_matrix:
     if brokers is None:
         return graph.adj.to_scipy()
-    return dominated_matrix(graph, brokers)
+    return dominated_adjacency(graph, brokers).to_scipy()
 
 
 @profiled("kernel.saturated_connectivity")
@@ -76,18 +80,14 @@ def saturated_connectivity(
 ) -> float:
     """Exact saturated E2E connectivity of the (dominated) graph.
 
-    Computed from connected-component sizes: a fraction
+    Computed from connected-component sizes
+    (:func:`repro.graph.csr.connected_pair_fraction`): a fraction
     ``sum_C |C|(|C|-1) / (n(n-1))`` of ordered pairs are mutually
     reachable.  ``matrix`` short-circuits the dominated-graph build when
     the caller already has it.
     """
-    n = graph.num_nodes
-    if n < 2:
-        return 0.0
     mat = matrix if matrix is not None else _effective_matrix(graph, brokers)
-    _, labels = connected_components(mat)
-    sizes = np.bincount(labels).astype(np.float64)
-    return float((sizes * (sizes - 1)).sum() / (n * (n - 1)))
+    return connected_pair_fraction(mat)
 
 
 @profiled("kernel.connectivity_curve")
@@ -144,20 +144,6 @@ def connectivity_curve(
     )
 
 
-def connectivity_at(
-    graph: ASGraph,
-    brokers: np.ndarray | list[int] | None,
-    hops: int,
-    *,
-    num_sources: int | None = None,
-    seed: SeedLike = 0,
-) -> float:
-    """Convenience wrapper: connectivity at a single hop bound."""
-    return connectivity_curve(
-        graph, brokers, max_hops=hops, num_sources=num_sources, seed=seed
-    ).at(hops)
-
-
 def path_inflation(
     free_curve: ConnectivityCurve, broker_curve: ConnectivityCurve
 ) -> np.ndarray:
@@ -170,17 +156,3 @@ def path_inflation(
     hops = min(free_curve.max_hops, broker_curve.max_hops)
     return free_curve.fractions[:hops] - broker_curve.fractions[:hops]
 
-
-def marginal_connectivity_gain(
-    graph: ASGraph,
-    brokers: list[int],
-    candidate: int,
-) -> float:
-    """Saturated-connectivity increase from adding ``candidate`` to ``B``.
-
-    Fig. 3 correlates this quantity with PageRank scores to explain the
-    PRB baseline's marginal effect.
-    """
-    base = saturated_connectivity(graph, brokers)
-    extended = saturated_connectivity(graph, list(brokers) + [candidate])
-    return extended - base

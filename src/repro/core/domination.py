@@ -7,9 +7,13 @@ exactly the edges incident to ``B``.  Section 5.2 writes this as the
 operator ``B ⊙ A`` erasing all adjacency entries whose row *and* column
 both fall outside ``B``.
 
-This module materializes that operator (as a SciPy CSR matrix so the
-connectivity engine can run batched BFS on it) and provides the exact
-verifiers used by tests and by the MCBG solution checker.
+This module is the one static owner of that operator: the edge rule
+(:func:`dominated_edge_mask`), the builder (:func:`dominated_adjacency`;
+call ``.to_scipy()`` for SciPy's kernels), its component labels
+(:func:`dominated_components`) and the Definition-1 checker
+(:func:`is_dominating_path`).  Questions about a broker set that grows or
+shrinks one vertex at a time go to
+:class:`repro.core.engine.DominationEngine` instead.
 """
 
 from __future__ import annotations
@@ -17,11 +21,10 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
-from repro.graph.csr import build_csr, bfs_levels, UNREACHABLE
+from repro.graph.csr import CSRAdjacency, build_csr, connected_components
 
 
 def broker_mask(graph: ASGraph, brokers: Iterable[int]) -> np.ndarray:
@@ -39,28 +42,15 @@ def dominated_edge_mask(graph: ASGraph, mask: np.ndarray) -> np.ndarray:
     return mask[graph.edge_src] | mask[graph.edge_dst]
 
 
-def dominated_matrix(
+def dominated_adjacency(
     graph: ASGraph, brokers: Iterable[int] | np.ndarray
-) -> sparse.csr_matrix:
-    """The dominated graph ``B ⊙ A`` as a symmetric CSR matrix.
+) -> CSRAdjacency:
+    """The dominated graph ``B ⊙ A`` as a symmetric :class:`CSRAdjacency`.
 
-    Any path in this matrix is B-dominated by construction, so l-hop E2E
-    connectivity under the brokerage scheme is plain BFS reachability here.
+    ``brokers`` is a collection of ids or a boolean mask.  Any path in
+    this graph is B-dominated by construction, so l-hop E2E connectivity
+    under the brokerage scheme is plain BFS reachability here.
     """
-    mask = (
-        np.asarray(brokers, dtype=bool)
-        if isinstance(brokers, np.ndarray) and brokers.dtype == bool
-        else broker_mask(graph, brokers)
-    )
-    keep = dominated_edge_mask(graph, mask)
-    src = graph.edge_src[keep]
-    dst = graph.edge_dst[keep]
-    adj = build_csr(graph.num_nodes, src, dst, symmetric=True)
-    return adj.to_scipy()
-
-
-def dominated_adjacency(graph: ASGraph, brokers: Iterable[int] | np.ndarray):
-    """The dominated graph as a :class:`CSRAdjacency` (for exact BFS)."""
     mask = (
         np.asarray(brokers, dtype=bool)
         if isinstance(brokers, np.ndarray) and brokers.dtype == bool
@@ -70,55 +60,44 @@ def dominated_adjacency(graph: ASGraph, brokers: Iterable[int] | np.ndarray):
     return build_csr(graph.num_nodes, graph.edge_src[keep], graph.edge_dst[keep])
 
 
+def dominated_components(
+    graph: ASGraph, brokers: Iterable[int] | np.ndarray
+) -> np.ndarray:
+    """Connected-component label of every vertex in ``B ⊙ A``.
+
+    Vertices outside ``B ∪ N(B)`` are isolated and get labels of their own.
+    """
+    _, labels = connected_components(dominated_adjacency(graph, brokers).to_scipy())
+    return labels
+
+
 def is_dominating_path(graph_or_mask, path: Sequence[int], brokers=None) -> bool:
     """Check Definition 1 directly on an explicit vertex sequence.
 
     Accepts either ``(graph, path, brokers)`` or ``(mask, path)`` where
-    ``mask`` is a boolean broker indicator.  The path must be non-empty;
-    a single vertex is trivially dominated (there are no hops).
+    ``mask`` is a boolean broker indicator.  The path must be non-empty
+    with every vertex in range, and in graph form every hop must be an
+    edge of the graph; :class:`AlgorithmError` otherwise.  A single vertex
+    is trivially dominated (there are no hops).
     """
-    if isinstance(graph_or_mask, ASGraph):
+    graph = graph_or_mask if isinstance(graph_or_mask, ASGraph) else None
+    if graph is not None:
         if brokers is None:
             raise AlgorithmError("brokers required when passing a graph")
-        mask = broker_mask(graph_or_mask, brokers)
+        mask = broker_mask(graph, brokers)
     else:
         mask = np.asarray(graph_or_mask, dtype=bool)
     if len(path) == 0:
         raise AlgorithmError("path must contain at least one vertex")
-    for a, b in zip(path[:-1], path[1:]):
-        if not (mask[a] or mask[b]):
-            return False
-    return True
-
-
-def has_dominating_path(
-    graph: ASGraph, brokers: Iterable[int], source: int, target: int
-) -> bool:
-    """Is there *any* B-dominated path from ``source`` to ``target``?
-
-    Exact check: BFS on the dominated graph.  This is the constraint of
-    Problems 1 and 2 for a single pair.
-    """
-    if source == target:
-        return True
-    adj = dominated_adjacency(graph, brokers)
-    dist = bfs_levels(adj, source)
-    return dist[target] != UNREACHABLE
-
-
-def dominating_path_length(
-    graph: ASGraph, brokers: Iterable[int], source: int, target: int
-) -> int:
-    """Hop length of the shortest B-dominated path (-1 if none).
-
-    Comparing against the unconstrained shortest path measures *path
-    inflation* (Section 6.2, Table 4).
-    """
-    if source == target:
-        return 0
-    adj = dominated_adjacency(graph, brokers)
-    dist = bfs_levels(adj, source)
-    return int(dist[target])
+    for v in path:
+        if not 0 <= v < len(mask):
+            raise AlgorithmError(f"path vertex {v} out of range [0, {len(mask)})")
+    hops = list(zip(path[:-1], path[1:]))
+    if graph is not None:
+        for a, b in hops:
+            if b not in graph.neighbors(a):
+                raise AlgorithmError(f"({a}, {b}) is not an edge of the graph")
+    return all(mask[a] or mask[b] for a, b in hops)
 
 
 def brokers_mutually_connected(graph: ASGraph, brokers: Sequence[int]) -> bool:
@@ -132,52 +111,5 @@ def brokers_mutually_connected(graph: ASGraph, brokers: Sequence[int]) -> bool:
     brokers = list(brokers)
     if len(brokers) <= 1:
         return True
-    adj = dominated_adjacency(graph, brokers)
-    dist = bfs_levels(adj, brokers[0])
-    return all(dist[b] != UNREACHABLE for b in brokers[1:])
-
-
-def verify_mcbg_solution(
-    graph: ASGraph,
-    brokers: Sequence[int],
-    budget: int,
-    *,
-    sample_pairs: int = 200,
-    seed: int = 0,
-) -> dict:
-    """Validate an MCBG solution against Problem 2's three constraints.
-
-    Returns a report dict with keys ``size_ok``, ``coverage``,
-    ``pairs_checked`` and ``dominating_path_ok`` (the latter verified on
-    ``sample_pairs`` random covered pairs — exact all-pairs verification is
-    quadratic and available through the connectivity engine instead).
-    """
-    from repro.core.coverage import covered_mask
-
-    rng = np.random.default_rng(seed)
-    brokers = list(dict.fromkeys(int(b) for b in brokers))
-    mask = covered_mask(graph, brokers)
-    covered = np.flatnonzero(mask)
-    adj = dominated_adjacency(graph, brokers)
-    ok = True
-    checked = 0
-    if len(covered) >= 2 and brokers:
-        # Verify connectivity inside the dominated graph component-wise:
-        # pick random sources among covered nodes, confirm their dominated
-        # component covers the same covered nodes the full graph would.
-        for _ in range(sample_pairs):
-            u, v = rng.choice(covered, size=2, replace=False)
-            du = bfs_levels(adj, int(u))
-            checked += 1
-            if du[int(v)] == UNREACHABLE:
-                # Only a violation if u and v are connected in G at all.
-                full_dist = bfs_levels(graph.adj, int(u))
-                if full_dist[int(v)] != UNREACHABLE:
-                    ok = False
-                    break
-    return {
-        "size_ok": len(brokers) <= budget,
-        "coverage": int(mask.sum()),
-        "pairs_checked": checked,
-        "dominating_path_ok": ok,
-    }
+    labels = dominated_components(graph, brokers)
+    return bool((labels[brokers] == labels[brokers[0]]).all())

@@ -41,8 +41,9 @@ Numerical contract: connectivity is computed as ``pair_sum / (n*(n-1))``
 where ``pair_sum = Σ_C |C|(|C|-1)`` is maintained as an exact Python/
 NumPy integer.  Component sizes are bounded by ``n < 2**26`` here, so
 every product is exactly representable in float64 and the division is
-bit-identical to the historical
-:func:`repro.core.connectivity.saturated_connectivity` path.
+bit-identical to :func:`repro.graph.csr.connected_pair_fraction`, which
+both :func:`repro.core.connectivity.saturated_connectivity` and
+:meth:`DominationEngine.verify` return.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from scipy import sparse
 
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
-from repro.graph.csr import connected_components
+from repro.graph.csr import connected_components, connected_pair_fraction
 
 __all__ = ["DominationEngine"]
 
@@ -1051,17 +1052,12 @@ class DominationEngine:
         self._dsu_dirty = False
 
     def _from_scratch_connectivity(self) -> float:
-        """Independent recomputation used by :meth:`verify` — mirrors
-        :func:`repro.core.connectivity.saturated_connectivity`."""
+        """Independent recomputation used by :meth:`verify`: the pair
+        fraction of a matrix built from the dominated alive edges, without
+        reading the union-find."""
         n = self._num_nodes
-        if n < 2:
-            return 0.0
         src, dst = self.dominated_alive_edges()
-        if len(src) == 0:
-            return 0.0
         mat = sparse.coo_matrix(
             (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n)
         )
-        _, labels = connected_components(mat)
-        sizes = np.bincount(labels).astype(np.float64)
-        return float((sizes * (sizes - 1)).sum() / (n * (n - 1)))
+        return connected_pair_fraction(mat)

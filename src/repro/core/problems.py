@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.coverage import covered_mask, coverage_value
-from repro.core.domination import dominated_adjacency
+from repro.core.domination import dominated_components
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
 from repro.graph.csr import connected_components
@@ -32,13 +32,6 @@ def _validate_k(graph: ASGraph, k: int) -> None:
         raise AlgorithmError(f"k must be >= 1, got {k}")
     if k > graph.num_nodes:
         raise AlgorithmError(f"k={k} exceeds |V|={graph.num_nodes}")
-
-
-def _dominating_components(graph: ASGraph, brokers: Sequence[int]) -> np.ndarray:
-    """Component labels of the dominated graph ``B ⊙ A``."""
-    adj = dominated_adjacency(graph, list(brokers))
-    _, labels = connected_components(adj.to_scipy())
-    return labels
 
 
 @dataclass(frozen=True)
@@ -63,7 +56,7 @@ class PDSInstance:
         mask = covered_mask(self.graph, brokers)
         if not mask.all():
             return False
-        labels = _dominating_components(self.graph, brokers)
+        labels = dominated_components(self.graph, brokers)
         return len(np.unique(labels)) == 1
 
 
@@ -115,7 +108,7 @@ class MCBGInstance:
         covered = np.flatnonzero(mask)
         if len(covered) <= 1:
             return True
-        dom_labels = _dominating_components(self.graph, brokers)
+        dom_labels = dominated_components(self.graph, brokers)
         _, full_labels = connected_components(self.graph.adj.to_scipy())
         for comp in np.unique(full_labels[covered]):
             members = covered[full_labels[covered] == comp]
@@ -158,20 +151,3 @@ def solve_pds_greedy(graph: ASGraph, k: int) -> list[int] | None:
     brokers = maxsg(graph, k)
     return brokers if PDSInstance(graph, k).is_feasible_solution(brokers) else None
 
-
-def pairwise_dominating_guarantee_fraction(
-    graph: ASGraph, brokers: Sequence[int]
-) -> float:
-    """Fraction of ordered vertex pairs with a B-dominating path.
-
-    This is the exact "saturated connectivity" of the dominated graph —
-    the quantity Theorem 1 says the MCBG solution maximizes.
-    """
-    n = graph.num_nodes
-    if n < 2:
-        return 0.0
-    labels = _dominating_components(graph, list(brokers))
-    # Isolated vertices of the dominated graph each form their own
-    # component and contribute no pairs.
-    sizes = np.bincount(labels).astype(np.float64)
-    return float((sizes * (sizes - 1)).sum() / (n * (n - 1)))

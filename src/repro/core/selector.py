@@ -31,10 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core import registry
-from repro.core.connectivity import connectivity_curve, saturated_connectivity
-from repro.core.coverage import coverage_fraction, coverage_value
-from repro.core.domination import brokers_mutually_connected
+from repro.core.connectivity import connectivity_curve
+from repro.core.engine import DominationEngine
 from repro.graph.asgraph import ASGraph
 from repro.utils.rng import SeedLike
 
@@ -179,19 +180,22 @@ class BrokerSelector:
         algorithm: str = "custom",
         parameters: dict | None = None,
     ) -> SelectionResult:
-        """Evaluate an arbitrary broker set under the standard metrics."""
-        graph = self._graph
+        """Evaluate an arbitrary broker set under the standard metrics.
+
+        One :class:`DominationEngine` answers all four: coverage, its
+        fraction, saturated connectivity and MCBG feasibility (every
+        broker in one component of ``B ⊙ A``; an empty set is not).
+        """
         brokers = list(dict.fromkeys(int(b) for b in brokers))
-        sat = saturated_connectivity(graph, brokers) if brokers else 0.0
+        engine = DominationEngine(self._graph, brokers)
+        broker_labels = engine.component_labels()[brokers]
         return SelectionResult(
             algorithm=algorithm,
             broker_set=brokers,
-            coverage=coverage_value(graph, brokers) if brokers else 0,
-            coverage_fraction=coverage_fraction(graph, brokers) if brokers else 0.0,
-            saturated_connectivity=sat,
-            mcbg_feasible=(
-                brokers_mutually_connected(graph, brokers) if brokers else False
-            ),
+            coverage=engine.coverage(),
+            coverage_fraction=engine.coverage_fraction(),
+            saturated_connectivity=engine.saturated_connectivity(),
+            mcbg_feasible=len(np.unique(broker_labels)) == 1,
             parameters=parameters or {},
         )
 

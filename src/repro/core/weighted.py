@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.domination import dominated_adjacency
+from repro.core.domination import dominated_components
 from repro.core.engine import DominationEngine
 from repro.core.greedy import celf
 from repro.core.maxsg import grow_connected
@@ -152,10 +152,9 @@ def weighted_saturated_connectivity(
     if denom <= 0:
         return 0.0
     if brokers is None:
-        adj = graph.adj
+        _, labels = connected_components(graph.adj.to_scipy())
     else:
-        adj = dominated_adjacency(graph, brokers)
-    _, labels = connected_components(adj.to_scipy())
+        labels = dominated_components(graph, brokers)
     num = 0.0
     for comp in np.unique(labels):
         mask = labels == comp

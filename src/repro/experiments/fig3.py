@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.baselines import pagerank_based
-from repro.core.connectivity import saturated_connectivity
+from repro.core.engine import DominationEngine
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, register
 from repro.graph.metrics import pagerank
@@ -32,12 +32,10 @@ def _gain_correlation(
     weighted = rng.choice(pool, size=k // 2, replace=False, p=weights)
     uniform = rng.choice(pool, size=k - k // 2, replace=False)
     candidates = np.unique(np.concatenate([weighted, uniform]))
-    base_sat = saturated_connectivity(graph, list(base_brokers))
+    engine = DominationEngine(graph, base_brokers)
+    base_sat = engine.saturated_connectivity()
     gains = np.array(
-        [
-            saturated_connectivity(graph, list(base_brokers) + [int(c)]) - base_sat
-            for c in candidates
-        ]
+        [engine.connectivity_if_added(int(c)) - base_sat for c in candidates]
     )
     cand_scores = scores[candidates]
     if np.isclose(gains.std(), 0.0) or np.isclose(cand_scores.std(), 0.0):

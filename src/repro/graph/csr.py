@@ -5,13 +5,16 @@ scale to the paper's 52,079-node topology — coverage evaluation, dominated-
 graph connectivity, hop-distance sampling — runs on these kernels rather
 than on per-node Python loops.
 
-Two single-source BFS kernels are provided:
+The graph searches here run in SciPy's C routines:
 
-* :func:`bfs_levels` — frontier BFS over the raw CSR arrays; cheap for a
-  handful of sources and returns exact hop distances.
-* :func:`bfs_parents` — SciPy's C breadth-first search, returning the
-  first-discoverer predecessor of every vertex (Algorithm 2's stitching
-  and the shortest-path helpers walk these).
+* :func:`bfs_levels` — exact hop distances from one source (an
+  unweighted shortest-path search, optionally depth-limited);
+* :func:`bfs_parents` — the first-discoverer predecessor of every
+  vertex (Algorithm 2's stitching and the shortest-path helpers walk
+  these);
+* :func:`connected_components` and :func:`connected_pair_fraction` —
+  component labels and the share of ordered pairs joined by any path,
+  which is saturated connectivity when the matrix is ``B ⊙ A``.
 
 Multi-source hop counting lives in
 :func:`repro.graph.bitset.bitset_hop_reach`, which runs hundreds of BFS
@@ -209,43 +212,25 @@ def bfs_levels(
 ) -> np.ndarray:
     """Exact hop distances from ``source`` (``UNREACHABLE`` if not reached).
 
-    Frontier-based BFS whose inner loop is NumPy vectorized: each level
-    gathers the concatenated neighbour lists of the frontier in one fancy-
-    indexing pass.
+    SciPy's unweighted shortest-path search; ``max_depth`` stops it at
+    that many hops (``0`` reaches only the source).
     """
     n = adj.num_vertices
     if not 0 <= source < n:
         raise GraphValidationError(f"source {source} out of range [0, {n})")
+    reach = csgraph.dijkstra(
+        adj.to_scipy(),
+        directed=True,
+        indices=source,
+        unweighted=True,
+        limit=np.inf if max_depth is None else max_depth,
+    )
+    reached = np.isfinite(reach)
     dist = np.full(n, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    depth = 0
-    while len(frontier):
-        if max_depth is not None and depth >= max_depth:
-            break
-        starts = adj.indptr[frontier]
-        stops = adj.indptr[frontier + 1]
-        total = int((stops - starts).sum())
-        if total == 0:
-            break
-        gathered = np.empty(total, dtype=np.int64)
-        pos = 0
-        for s, e in zip(starts, stops):
-            cnt = e - s
-            gathered[pos : pos + cnt] = adj.indices[s:e]
-            pos += cnt
-        nxt = np.unique(gathered)
-        nxt = nxt[dist[nxt] == UNREACHABLE]
-        if len(nxt) == 0:
-            break
-        depth += 1
-        dist[nxt] = depth
-        frontier = nxt
+    dist[reached] = reach[reached]
     if _metrics.metrics_enabled():
         _metrics.add_counter("kernel.bfs.runs")
-        _metrics.add_counter(
-            "kernel.bfs.node_visits", int(np.count_nonzero(dist != UNREACHABLE))
-        )
+        _metrics.add_counter("kernel.bfs.node_visits", int(np.count_nonzero(reached)))
     return dist
 
 
@@ -279,6 +264,21 @@ def connected_components(matrix: sparse.csr_matrix) -> tuple[int, np.ndarray]:
     directional-policy experiments use hop-limited BFS instead.
     """
     return csgraph.connected_components(matrix, directed=False, return_labels=True)
+
+
+def connected_pair_fraction(matrix: sparse.spmatrix) -> float:
+    """Share of ordered vertex pairs ``(u, v)``, ``u != v``, joined by a path.
+
+    ``Σ_C |C|(|C|−1) / (n(n−1))`` over the connected components ``C``.
+    Component sizes stay below ``2**26``, so every product and the sum
+    are exact in float64 and the quotient is correctly rounded.
+    """
+    n = matrix.shape[0]
+    if n < 2:
+        return 0.0
+    _, labels = connected_components(matrix)
+    sizes = np.bincount(labels).astype(np.float64)
+    return float((sizes * (sizes - 1)).sum() / (n * (n - 1)))
 
 
 def largest_component_nodes(matrix: sparse.csr_matrix) -> np.ndarray:

@@ -5,6 +5,10 @@ uniformly random source/destination pair is within ``beta`` hops with
 probability at least ``alpha``; the AS-level Internet is a (0.99, 4)-graph.
 Algorithm 2's budget split and the economic model's worst-case employee
 count both consume ``beta``, so estimating it robustly matters.
+
+Hop counts over many sources come from the bit-parallel kernel
+(:func:`repro.graph.bitset.bitset_hop_reach`); single-source distances
+and paths come from SciPy's search (:mod:`repro.graph.csr`).
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
-from repro.graph.csr import UNREACHABLE, bfs_levels
+from repro.graph.bitset import bitset_hop_reach
+from repro.graph.csr import UNREACHABLE, bfs_levels, bfs_parents
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -55,10 +61,14 @@ def hop_distribution(
     """Estimate the pairwise hop-count distribution by sampled exact BFS.
 
     ``num_sources=None`` runs every vertex as a source (exact distribution);
-    otherwise sources are sampled without replacement.  Cost is one BFS per
-    source, so sampling a few hundred sources suffices for the (alpha,
-    beta) check even at the full 52k-node scale.
+    otherwise sources are sampled without replacement.  All sources run
+    through the bit-parallel kernel, so sampling a few hundred suffices for
+    the (alpha, beta) check even at the full 52k-node scale.  Pairs not
+    joined within ``max_hops`` hops count as unreachable; ``max_hops=0``
+    joins none.
     """
+    if max_hops < 0:
+        raise AlgorithmError(f"max_hops must be >= 0, got {max_hops}")
     n = graph.num_nodes
     if n < 2:
         return HopDistribution(np.zeros(1), 0.0, 0)
@@ -67,20 +77,16 @@ def hop_distribution(
     else:
         rng = ensure_rng(seed)
         sources = rng.choice(n, size=num_sources, replace=False)
-    level_counts = np.zeros(max_hops + 1, dtype=np.int64)
-    unreachable = 0
-    for s in sources:
-        dist = bfs_levels(graph.adj, int(s), max_depth=max_hops)
-        reached = dist[(dist != UNREACHABLE)]
-        hist = np.bincount(reached, minlength=max_hops + 1)[: max_hops + 1]
-        hist[0] = 0  # the source itself is not a pair
-        level_counts += hist
-        unreachable += n - 1 - int(hist.sum())
+    # within[l] = (source, vertex) pairs at most l hops apart; l = 0 has none.
+    within = np.zeros(max_hops + 1, dtype=np.int64)
+    if max_hops:
+        within[1:] = bitset_hop_reach(
+            graph.adj.to_scipy(), sources, max_hops, aggregate=True
+        )
     total_pairs = len(sources) * (n - 1)
-    cumulative = np.cumsum(level_counts) / total_pairs
     return HopDistribution(
-        cumulative=cumulative,
-        unreachable_fraction=unreachable / total_pairs,
+        cumulative=within / total_pairs,
+        unreachable_fraction=(total_pairs - int(within[-1])) / total_pairs,
         num_sources=len(sources),
     )
 
@@ -121,23 +127,14 @@ def shortest_path(graph: ASGraph, source: int, target: int) -> list[int] | None:
     Returns the vertex sequence including both endpoints, or ``None`` when
     disconnected.  Used by tests and by Algorithm 2's stitching step.
     """
-    from repro.graph.csr import bfs_parents
-
     if source == target:
         return [source]
     parent = bfs_parents(graph.adj, source)
-    if parent[target] == -1 and target != source:
-        # target may be unreachable, or directly the source's child; check
-        # reachability via a BFS distance probe.
-        dist = bfs_levels(graph.adj, source)
-        if dist[target] == UNREACHABLE:
-            return None
+    if parent[target] == -1:
+        return None
     path = [target]
     while path[-1] != source:
-        prev = int(parent[path[-1]])
-        if prev == -1:
-            return None
-        path.append(prev)
+        path.append(int(parent[path[-1]]))
     path.reverse()
     return path
 

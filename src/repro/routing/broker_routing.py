@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.core.engine import DominationEngine
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
-from repro.graph.csr import UNREACHABLE, bfs_levels, bfs_parents, build_csr
+from repro.graph.csr import bfs_parents, build_csr
 from repro.graph.multigraph import MultiGraph
 from repro.routing.qos import MultiQoSPath, multigraph_qos_path
 from repro.utils.rng import SeedLike, ensure_rng
@@ -182,10 +182,9 @@ class BrokerRouter:
             raise AlgorithmError("source/destination out of range")
         if source == destination:
             return BrokeredRoute(source, destination, [source])
-        dist = bfs_levels(self._dominated, source)
-        if dist[destination] == UNREACHABLE:
-            return None
         parent = bfs_parents(self._dominated, source)
+        if parent[destination] == -1:
+            return None
         path = [destination]
         while path[-1] != source:
             path.append(int(parent[path[-1]]))

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.connectivity import ConnectivityCurve
-from repro.core.domination import broker_mask
+from repro.core.domination import broker_mask, dominated_edge_mask
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
 from repro.types import Relationship
@@ -99,8 +99,7 @@ def build_policy_matrices(
     src, dst, rels = graph.edge_src, graph.edge_dst, graph.edge_rels
     keep = np.ones(graph.num_edges, dtype=bool)
     if brokers is not None:
-        mask = broker_mask(graph, brokers)
-        keep = mask[src] | mask[dst]
+        keep = dominated_edge_mask(graph, broker_mask(graph, brokers))
     coal = (
         np.zeros(graph.num_edges, dtype=bool)
         if coalition_edge_mask is None

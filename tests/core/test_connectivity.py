@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.connectivity import (
-    connectivity_at,
     connectivity_curve,
-    marginal_connectivity_gain,
     path_inflation,
     saturated_connectivity,
 )
+from repro.core.engine import DominationEngine
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
 
@@ -89,8 +88,8 @@ class TestCurve:
         with pytest.raises(AlgorithmError, match="num_sources"):
             connectivity_curve(path10, None, num_sources=num_sources)
 
-    def test_connectivity_at_shortcut(self, star10):
-        assert connectivity_at(star10, [0], 2) == pytest.approx(1.0)
+    def test_hub_reaches_all_pairs_in_two_hops(self, star10):
+        assert connectivity_curve(star10, [0], max_hops=2).at(2) == pytest.approx(1.0)
 
 
 class TestAgainstBruteForce:
@@ -98,15 +97,17 @@ class TestAgainstBruteForce:
         """Exact pairwise check of the dominated l-hop semantics."""
         import itertools
 
-        from repro.core.domination import dominating_path_length
+        from repro.core.domination import dominated_adjacency
+        from tests.oracles.bfs import bfs_levels
 
         brokers = [2, 3]
         curve = connectivity_curve(two_triangles, brokers, max_hops=4)
+        adj = dominated_adjacency(two_triangles, brokers)
         n = 6
         for l in range(1, 5):
             count = 0
             for u, v in itertools.permutations(range(n), 2):
-                d = dominating_path_length(two_triangles, brokers, u, v)
+                d = bfs_levels(adj, u)[v]
                 if 0 < d <= l:
                     count += 1
             assert curve.at(l) == pytest.approx(count / (n * (n - 1)))
@@ -126,9 +127,11 @@ class TestInflationAndGain:
         assert path_inflation(free, dom).max() > 0
 
     def test_marginal_gain_positive_for_new_hub(self, star10):
-        gain = marginal_connectivity_gain(star10, [1], 0)
+        engine = DominationEngine(star10, [1])
+        gain = engine.connectivity_if_added(0) - engine.saturated_connectivity()
         assert gain > 0.9
 
     def test_marginal_gain_zero_for_redundant(self, star10):
-        gain = marginal_connectivity_gain(star10, [0], 1)
+        engine = DominationEngine(star10, [0])
+        gain = engine.connectivity_if_added(1) - engine.saturated_connectivity()
         assert gain == pytest.approx(0.0)

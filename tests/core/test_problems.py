@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.core.connectivity import saturated_connectivity
 from repro.core.problems import (
     MCBGInstance,
     MCBInstance,
     PathLengthConstrainedInstance,
     PDSInstance,
-    pairwise_dominating_guarantee_fraction,
     solve_pds_greedy,
 )
 from repro.exceptions import AlgorithmError
@@ -89,22 +89,28 @@ class TestMCBG:
         inst = MCBGInstance(g, 1)
         assert inst.is_feasible_solution([1])
 
+    def test_size_violation_detected(self, path10):
+        # Connected brokers, but one more than the budget allows.
+        assert not MCBGInstance(path10, 2).is_feasible_solution([0, 1, 2])
+
 
 class TestGuaranteeFraction:
+    """Theorem 1's guaranteed pair fraction is saturated connectivity."""
+
     def test_full_for_hub(self, star10):
-        assert pairwise_dominating_guarantee_fraction(star10, [0]) == 1.0
+        assert saturated_connectivity(star10, [0]) == 1.0
 
     def test_zero_for_empty(self, star10):
-        assert pairwise_dominating_guarantee_fraction(star10, []) == 0.0
+        assert saturated_connectivity(star10, []) == 0.0
 
     def test_matches_saturated_connectivity(self, tiny_internet):
-        from repro.core.connectivity import saturated_connectivity
+        from repro.core.engine import DominationEngine
         from repro.core.maxsg import maxsg
 
         brokers = maxsg(tiny_internet, 15)
-        assert pairwise_dominating_guarantee_fraction(
-            tiny_internet, brokers
-        ) == pytest.approx(saturated_connectivity(tiny_internet, brokers))
+        assert saturated_connectivity(tiny_internet, brokers) == (
+            DominationEngine(tiny_internet, brokers).saturated_connectivity()
+        )
 
 
 class TestProblem4Instance:

@@ -83,6 +83,10 @@ class TestBFSLevels:
         assert dist[2] == 2
         assert dist[3] == UNREACHABLE
 
+    def test_max_depth_zero_stops_at_source(self):
+        dist = bfs_levels(_path_csr(5), 2, max_depth=0)
+        assert dist.tolist() == [UNREACHABLE, UNREACHABLE, 0, UNREACHABLE, UNREACHABLE]
+
     def test_source_out_of_range(self):
         adj = _path_csr(3)
         with pytest.raises(GraphValidationError):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exceptions import AlgorithmError
 from repro.graph.generators import complete_graph, cycle_graph, path_graph
 from repro.graph.paths import (
     eccentricity_lower_bound,
@@ -37,6 +38,15 @@ class TestHopDistribution:
     def test_disconnected_unreachable_fraction(self, disconnected_pair):
         dist = hop_distribution(disconnected_pair)
         assert dist.unreachable_fraction == pytest.approx(2 / 3)
+
+    def test_zero_hops_joins_no_pair(self):
+        dist = hop_distribution(path_graph(4), max_hops=0)
+        assert dist.cumulative.tolist() == [0.0]
+        assert dist.unreachable_fraction == 1.0
+
+    def test_negative_hops_rejected(self):
+        with pytest.raises(AlgorithmError, match="max_hops"):
+            hop_distribution(path_graph(4), max_hops=-1)
 
 
 class TestAlphaBeta:

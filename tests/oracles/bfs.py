@@ -1,9 +1,11 @@
-"""Reference BFS kernels: a Python FIFO parent loop and dense hop counts.
+"""Reference BFS kernels: Python frontier loops and dense hop counts.
 
-:func:`bfs_parents` is the reference for
-:func:`repro.graph.csr.bfs_parents` (SciPy's C search) and
+:func:`bfs_levels` and :func:`bfs_parents` are the references for their
+namesakes in :mod:`repro.graph.csr` (SciPy's C search),
 :func:`batched_hop_reach` the reference for
-:func:`repro.graph.bitset.bitset_hop_reach` (the bit-parallel kernel).
+:func:`repro.graph.bitset.bitset_hop_reach` (the bit-parallel kernel), and
+:func:`hop_distribution` the per-source loop that
+:func:`repro.graph.paths.hop_distribution` replaced with that kernel.
 """
 
 from __future__ import annotations
@@ -11,7 +13,84 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.graph.csr import CSRAdjacency
+from repro.exceptions import GraphValidationError
+from repro.graph.asgraph import ASGraph
+from repro.graph.csr import UNREACHABLE, CSRAdjacency
+from repro.utils.rng import SeedLike, ensure_rng
+
+
+def bfs_levels(
+    adj: CSRAdjacency,
+    source: int,
+    *,
+    max_depth: int | None = None,
+) -> np.ndarray:
+    """Exact hop distances from ``source`` (``UNREACHABLE`` if not reached).
+
+    Frontier-based BFS whose inner loop is NumPy vectorized: each level
+    gathers the concatenated neighbour lists of the frontier in one fancy-
+    indexing pass.
+    """
+    n = adj.num_vertices
+    if not 0 <= source < n:
+        raise GraphValidationError(f"source {source} out of range [0, {n})")
+    dist = np.full(n, UNREACHABLE, dtype=np.int64)
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    depth = 0
+    while len(frontier):
+        if max_depth is not None and depth >= max_depth:
+            break
+        starts = adj.indptr[frontier]
+        stops = adj.indptr[frontier + 1]
+        total = int((stops - starts).sum())
+        if total == 0:
+            break
+        gathered = np.empty(total, dtype=np.int64)
+        pos = 0
+        for s, e in zip(starts, stops):
+            cnt = e - s
+            gathered[pos : pos + cnt] = adj.indices[s:e]
+            pos += cnt
+        nxt = np.unique(gathered)
+        nxt = nxt[dist[nxt] == UNREACHABLE]
+        if len(nxt) == 0:
+            break
+        depth += 1
+        dist[nxt] = depth
+        frontier = nxt
+    return dist
+
+
+def hop_distribution(
+    graph: ASGraph,
+    *,
+    num_sources: int | None = None,
+    max_hops: int = 32,
+    seed: SeedLike = None,
+) -> tuple[np.ndarray, float]:
+    """``(cumulative, unreachable_fraction)`` from one BFS per source.
+
+    Sources are drawn exactly as :func:`repro.graph.paths.hop_distribution`
+    draws them.
+    """
+    n = graph.num_nodes
+    if num_sources is None or num_sources >= n:
+        sources = np.arange(n)
+    else:
+        rng = ensure_rng(seed)
+        sources = rng.choice(n, size=num_sources, replace=False)
+    level_counts = np.zeros(max_hops + 1, dtype=np.int64)
+    unreachable = 0
+    for s in sources:
+        dist = bfs_levels(graph.adj, int(s), max_depth=max_hops)
+        reached = dist[(dist != UNREACHABLE)]
+        hist = np.bincount(reached, minlength=max_hops + 1)[: max_hops + 1]
+        hist[0] = 0  # the source itself is not a pair
+        level_counts += hist
+        unreachable += n - 1 - int(hist.sum())
+    total_pairs = len(sources) * (n - 1)
+    return np.cumsum(level_counts) / total_pairs, unreachable / total_pairs
 
 
 def bfs_parents(adj: CSRAdjacency, source: int) -> np.ndarray:

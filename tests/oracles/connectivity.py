@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.core.domination import dominated_matrix
+from repro.core.domination import dominated_adjacency
 from repro.graph.asgraph import ASGraph
 from repro.utils.rng import SeedLike, ensure_rng
 from tests.oracles.bfs import batched_hop_reach
@@ -19,7 +19,7 @@ from tests.oracles.bfs import batched_hop_reach
 def _matrix(graph: ASGraph, brokers) -> sparse.csr_matrix:
     if brokers is None:
         return graph.adj.to_scipy()
-    return dominated_matrix(graph, brokers)
+    return dominated_adjacency(graph, brokers).to_scipy()
 
 
 def curve_fractions(

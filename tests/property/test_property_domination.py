@@ -6,16 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.connectivity import connectivity_curve, saturated_connectivity
+from repro.core.coverage import coverage_fraction, coverage_value
 from repro.core.domination import (
     broker_mask,
+    brokers_mutually_connected,
     dominated_adjacency,
-    has_dominating_path,
     is_dominating_path,
 )
+from repro.core.engine import DominationEngine
 from repro.core.maxsg import maxsg
 from repro.core.problems import MCBGInstance
+from repro.core.selector import BrokerSelector
 from repro.graph.asgraph import ASGraph
 from repro.graph.csr import UNREACHABLE, bfs_levels
+from repro.graph.paths import hop_distribution
+from tests.oracles import bfs as bfs_oracle
+from tests.oracles import domination as domination_oracle
 
 
 @st.composite
@@ -107,6 +113,75 @@ class TestConnectivityProperties:
         assert saturated_connectivity(g, brokers) * n * (n - 1) == pytest.approx(
             count
         )
+
+
+class TestOnePathPerQuestion:
+    """The static helpers, the engine and the moved references agree."""
+
+    @given(graph_and_brokers())
+    @settings(max_examples=60, deadline=None)
+    def test_saturated_matches_engine(self, gb):
+        g, brokers = gb
+        engine = DominationEngine(g, brokers)
+        assert saturated_connectivity(g, brokers) == engine.saturated_connectivity()
+
+    @given(graph_and_brokers())
+    @settings(max_examples=60, deadline=None)
+    def test_mutual_connectivity_matches_bfs_reference(self, gb):
+        g, brokers = gb
+        assert brokers_mutually_connected(
+            g, brokers
+        ) == domination_oracle.brokers_mutually_connected(g, brokers)
+
+    @given(graph_and_brokers(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_engine_gain_equals_from_scratch_difference(self, gb, data):
+        """Fig. 3's gain: the O(deg v) probe is bit-identical."""
+        g, brokers = gb
+        outside = [v for v in range(g.num_nodes) if v not in brokers]
+        c = data.draw(st.sampled_from(outside)) if outside else brokers[0]
+        engine = DominationEngine(g, brokers)
+        gain = engine.connectivity_if_added(c) - engine.saturated_connectivity()
+        expected = saturated_connectivity(g, brokers + [c]) - saturated_connectivity(
+            g, brokers
+        )
+        assert gain == expected
+
+    @given(graph_and_brokers())
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_matches_one_shot_evaluators(self, gb):
+        g, brokers = gb
+        result = BrokerSelector(g).evaluate(brokers)
+        assert result.coverage == coverage_value(g, brokers)
+        assert result.coverage_fraction == coverage_fraction(g, brokers)
+        assert result.saturated_connectivity == saturated_connectivity(g, brokers)
+        assert result.mcbg_feasible == brokers_mutually_connected(g, brokers)
+
+    @given(graph_and_brokers(), st.one_of(st.none(), st.integers(0, 4)))
+    @settings(max_examples=60, deadline=None)
+    def test_bfs_levels_matches_reference(self, gb, max_depth):
+        g, brokers = gb
+        for adj in (g.adj, dominated_adjacency(g, brokers)):
+            for source in range(g.num_nodes):
+                assert np.array_equal(
+                    bfs_levels(adj, source, max_depth=max_depth),
+                    bfs_oracle.bfs_levels(adj, source, max_depth=max_depth),
+                )
+
+    @given(
+        random_graphs(min_nodes=2),
+        st.one_of(st.none(), st.integers(1, 30)),
+        st.integers(0, 6),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_hop_distribution_matches_reference(self, g, num_sources, max_hops, seed):
+        got = hop_distribution(g, num_sources=num_sources, max_hops=max_hops, seed=seed)
+        cumulative, unreachable = bfs_oracle.hop_distribution(
+            g, num_sources=num_sources, max_hops=max_hops, seed=seed
+        )
+        assert np.array_equal(got.cumulative, cumulative)
+        assert got.unreachable_fraction == unreachable
 
 
 class TestMaxSGProperties:

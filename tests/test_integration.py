@@ -10,9 +10,9 @@ import pytest
 
 from repro.core import (
     BrokerSelector,
+    MCBGInstance,
     connectivity_curve,
     maxsg,
-    verify_mcbg_solution,
 )
 from repro.datasets import load_internet, summarize
 from repro.economics import (
@@ -41,8 +41,7 @@ class TestFullPipeline:
         selector = BrokerSelector(graph)
         result = selector.select("maxsg", budget=40)
         assert result.mcbg_feasible
-        report = verify_mcbg_solution(graph, result.broker_set, 40, seed=0)
-        assert report["dominating_path_ok"]
+        assert MCBGInstance(graph, 40).is_feasible_solution(result.broker_set)
 
         curve = connectivity_curve(graph, result.broker_set, max_hops=6)
         assert curve.saturated == pytest.approx(
