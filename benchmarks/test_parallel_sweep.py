@@ -2,8 +2,8 @@
 
 Two claims from the issue, each asserted (not just timed):
 
-* a Fig. 2b-style multi-seed sweep with ``--backend process --workers 4``
-  is at least 2x faster than the serial loop (needs >= 4 cores; the
+* a Fig. 2b-style multi-seed sweep with ``--workers 4`` (a process
+  pool) is at least 2x faster than the serial loop (needs >= 4 cores; the
   assertion is skipped on smaller machines, where a process pool cannot
   physically deliver 2x);
 * a warm-cache rerun returns a bit-identical JSON payload at least 2x
@@ -40,7 +40,7 @@ def test_process_backend_speedup(benchmark, config, warm_graph):
     serial_s = time.perf_counter() - t0
 
     def parallel():
-        return _sweep(config, workers=4, backend="process")
+        return _sweep(config, workers=4)
 
     result = benchmark.pedantic(parallel, rounds=1, iterations=1)
     parallel_s = benchmark.stats.stats.total

@@ -26,9 +26,10 @@ Subcommands:
   admin verbs serve live telemetry.
 * ``query`` — one-shot path queries against the serving index.
 
-``experiment``, ``sweep`` and ``resilience`` accept ``--workers``,
-``--backend`` and ``--cache-dir`` (the parallel executor + result cache
-from :mod:`repro.parallel`) plus ``--trace-out FILE`` (JSONL span trace
+``experiment``, ``sweep`` and ``resilience`` accept ``--workers`` (1 runs
+in this process, more runs a process pool) and ``--cache-dir`` (the
+parallel executor + result cache from :mod:`repro.parallel`); those
+three and ``convergence`` accept ``--trace-out FILE`` (JSONL span trace
 via :mod:`repro.obs`) and ``--ledger FILE`` (append one run record per
 executed experiment; defaults to ``$REPRO_LEDGER`` when that is set).
 The global ``--log-level`` / ``--log-json`` flags configure the
@@ -49,8 +50,9 @@ from repro.exceptions import ReproError
 from repro.graph.io import load_graph, save_graph
 
 
-def _positive(kind):
-    """argparse type: a finite ``kind`` (``int`` or ``float``) above 0."""
+def _positive(kind, *, zero_ok: bool = False):
+    """argparse type: a finite ``kind`` (``int`` or ``float``) above 0,
+    or at least 0 when ``zero_ok``."""
 
     def parse(text: str):
         try:
@@ -59,9 +61,11 @@ def _positive(kind):
             raise argparse.ArgumentTypeError(
                 f"invalid {kind.__name__} value: {text!r}"
             ) from None
-        if not (math.isfinite(value) and value > 0):
+        in_range = value >= 0 if zero_ok else value > 0
+        if not (math.isfinite(value) and in_range):
             raise argparse.ArgumentTypeError(
-                f"must be finite and above 0, got {text}"
+                f"must be finite and {'at least' if zero_ok else 'above'} 0, "
+                f"got {text}"
             )
         return value
 
@@ -268,7 +272,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         checkpoint=args.checkpoint,
         seed=args.seed,
         workers=args.workers,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         ledger=_ledger_from_args(args),
     )
@@ -340,7 +343,6 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
             policy=policy,
             heal=not args.no_heal,
             workers=args.workers,
-            backend=args.backend,
             cache_dir=args.cache_dir,
         )
     rendered: list[str] = []
@@ -586,7 +588,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 seeds=args.seeds or None,
                 budgets=budgets,
                 workers=args.workers,
-                backend=args.backend,
                 cache_dir=args.cache_dir,
             )
         else:  # table5
@@ -597,7 +598,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 budgets=budgets,
                 top=args.top,
                 workers=args.workers,
-                backend=args.backend,
                 cache_dir=args.cache_dir,
             )
     ledger = _ledger_from_args(args)
@@ -969,14 +969,16 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _add_parallel_flags(p: argparse.ArgumentParser) -> None:
     """The shared executor/cache knobs (``repro.parallel``)."""
-    from repro.parallel.executor import BACKENDS
-
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker count for the parallel executor")
-    p.add_argument("--backend", choices=BACKENDS, default="serial",
-                   help="execution backend (process = shared-memory graph)")
+    p.add_argument("--workers", type=_positive(int), default=1,
+                   help="1 runs in this process; more runs a process pool "
+                        "of that size (shared-memory graph)")
     p.add_argument("--cache-dir", default=None,
                    help="content-addressed result cache directory")
+    _add_record_flags(p)
+
+
+def _add_record_flags(p: argparse.ArgumentParser) -> None:
+    """``--trace-out`` and ``--ledger``: where a run leaves its records."""
     p.add_argument("--trace-out", default=None, metavar="FILE",
                    help="record a JSONL span trace of the run to FILE")
     p.add_argument("--ledger", default=None, metavar="FILE",
@@ -1074,10 +1076,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="experiment id (e.g. table1, fig5b) or 'all'")
     p.add_argument("--scale", choices=available_scales(), default="small")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--retries", type=int, default=0,
+    p.add_argument("--retries", type=_positive(int, zero_ok=True), default=0,
                    help="retry a failing experiment this many times "
                         "(exponential backoff, seeded jitter)")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_positive(float), default=None,
                    help="per-experiment wall-clock budget in seconds")
     p.add_argument("--checkpoint", default=None,
                    help="JSON checkpoint file; reruns resume past "
@@ -1237,7 +1239,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="BGP minimum route advertisement interval (seconds)")
     p.add_argument("--loss-prob", type=float, default=0.0,
                    help="broker control-message loss probability")
-    _add_parallel_flags(p)
+    _add_record_flags(p)
     p.set_defaults(fn=_cmd_convergence)
 
     p = sub.add_parser(

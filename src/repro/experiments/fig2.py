@@ -22,13 +22,7 @@ from repro.core.maxsg import maxsg
 from repro.core.registry import get_algorithm, run_algorithm
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, register
-from repro.experiments.sweeps import (
-    SweepResult,
-    jsonify_cell,
-    run_graph_tasks,
-    worker_graph,
-)
-from repro.parallel.cache import ResultCache
+from repro.experiments.sweeps import SweepResult, run_cells, worker_graph
 from repro.utils.rng import spawn_rngs
 
 
@@ -123,8 +117,8 @@ def _fig2b_cell(task: dict) -> dict:
     """One sweep cell: l-hop connectivity of a MaxSG prefix.
 
     Runs in a sweep worker; the graph comes from the worker slot (a
-    shared-memory attachment under the process backend), the MaxSG
-    prefix rides along in the task.
+    shared-memory attachment in a process pool), the MaxSG prefix rides
+    along in the task.
     """
     graph = worker_graph()
     curve = connectivity_curve(
@@ -148,17 +142,15 @@ def fig2b_seed_sweep(
     seeds: list[int] | None = None,
     budgets: list[int] | None = None,
     workers: int = 1,
-    backend: str = "serial",
     cache_dir: str | Path | None = None,
-    chunk_size: int | None = None,
 ) -> SweepResult:
     """Fig. 2b's prefix sweep across sampling seeds and broker budgets.
 
     One MaxSG run at the largest budget provides every prefix (greedy
     selection order is prefix-consistent), then each ``(seed, budget)``
     cell — an independent ``O(l(|V|+|E|))`` connectivity evaluation — is
-    dispatched through the parallel executor and the result cache.  The
-    returned payload is bit-identical across backends and across
+    dispatched through :func:`~repro.experiments.sweeps.run_cells`.  The
+    returned payload is bit-identical across worker counts and across
     cold/warm cache runs.
     """
     graph = config.graph()
@@ -168,11 +160,7 @@ def fig2b_seed_sweep(
         budgets = sorted(dict.fromkeys(int(b) for b in budgets))
     seeds = [config.seed] if seeds is None else [int(s) for s in seeds]
     brokers_full = maxsg(graph, max(budgets))
-    digest = graph.digest()
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-
-    cells: dict[tuple[int, int], dict] = {}
-    tasks: list[dict] = []
+    cells = []
     for s in seeds:
         for b in budgets:
             params = {
@@ -182,48 +170,20 @@ def fig2b_seed_sweep(
                 "num_sources": config.num_sources,
                 "algorithm": "maxsg-prefix",
             }
-            if cache is not None:
-                hit = cache.get(
-                    graph_digest=digest, algorithm=FIG2B_CELL_TAG, params=params
-                )
-                if hit is not None:
-                    cells[(s, b)] = hit
-                    continue
-            tasks.append(
-                {
-                    "seed": s,
-                    "budget": b,
-                    "brokers": brokers_full[: min(b, len(brokers_full))],
-                    "max_hops": config.max_hops,
-                    "num_sources": config.num_sources,
-                    "params": params,
-                }
-            )
-    computed = run_graph_tasks(
+            cells.append((params, {**params, "brokers": brokers_full[:b]}))
+    values, hits, misses = run_cells(
         graph,
         _fig2b_cell,
-        tasks,
-        backend=backend,
+        cells,
+        tag=FIG2B_CELL_TAG,
         workers=workers,
-        chunk_size=chunk_size,
-    ).values()
-    for task, cell in zip(tasks, computed):
-        if cache is not None:
-            cell = cache.put(
-                cell,
-                graph_digest=digest,
-                algorithm=FIG2B_CELL_TAG,
-                params=task["params"],
-            )
-        else:
-            cell = jsonify_cell(cell)
-        cells[(task["seed"], task["budget"])] = cell
-
+        cache_dir=cache_dir,
+    )
     payload = {
         "sweep": "fig2b",
         "scale": config.scale,
         "graph_seed": config.seed,
-        "graph_digest": digest,
+        "graph_digest": graph.digest(),
         "algorithm": "maxsg-prefix",
         "max_hops": config.max_hops,
         "num_sources": config.num_sources,
@@ -231,13 +191,8 @@ def fig2b_seed_sweep(
         "budgets": budgets,
         "alliance_size": len(brokers_full),
         "cells": [
-            {"seed": s, "budget": b, **cells[(s, b)]}
-            for s in seeds
-            for b in budgets
+            {"seed": params["seed"], "budget": params["budget"], **value}
+            for (params, _), value in zip(cells, values)
         ],
     }
-    return SweepResult(
-        payload=payload,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
-    )
+    return SweepResult(payload=payload, cache_hits=hits, cache_misses=misses)

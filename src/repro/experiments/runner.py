@@ -18,8 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import tempfile
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 
 from repro.exceptions import CheckpointError, ReproError
 from repro.experiments.config import ExperimentConfig
-from repro.obs import add_counter, get_logger, get_tracer
+from repro.obs import add_counter, get_logger, get_tracer, write_atomic
 from repro.obs.ledger import (
     Ledger,
     RunRecord,
@@ -39,7 +38,7 @@ from repro.obs.ledger import (
 )
 from repro.obs.metrics import iter_nonzero_counters
 from repro.parallel.cache import ResultCache
-from repro.parallel.executor import BACKENDS, parallel_map, run_with_timeout
+from repro.parallel.executor import parallel_map, run_with_timeout
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.tables import format_table
 
@@ -257,10 +256,11 @@ def record_from_result(
     """Build the ledger :class:`RunRecord` for one experiment result.
 
     Captures git revision, graph digest (cheap — the graph is lru-cached
-    after the experiment ran), the flattened coverage values, the
-    process's nonzero counters, the run's wall-clock as a one-observation
-    histogram, and the SHA-256 of the rendered table as the exact-match
-    ``result_digest``.
+    after the experiment ran), the flattened coverage values, the run's
+    wall-clock as a one-observation histogram, and the SHA-256 of the
+    rendered table as the exact-match ``result_digest``.  ``counters``
+    is left empty: only the runner knows which counters one experiment's
+    attempts moved, and it fills them in.
     """
     try:
         graph_digest = config.graph().digest()
@@ -280,7 +280,6 @@ def record_from_result(
         graph_digest=graph_digest,
         params=_experiment_cache_params(config),
         coverage=_coverage_from_paper_values(result.paper_values),
-        counters=dict(iter_nonzero_counters()),
         timings=timings,
         result_digest=hashlib.sha256(result.render().encode()).hexdigest(),
         ts=_ledger_now(),
@@ -323,18 +322,7 @@ def _write_checkpoint(
         "completed": completed,
         "failures": [f.as_dict() for f in failures],
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, json.dumps(payload))
 
 
 def backoff_delays(
@@ -363,18 +351,19 @@ def _attempt_experiment(
     backoff_cap: float,
     seed: SeedLike,
     sleep: Callable[[float], None] = time.sleep,
-) -> tuple[ExperimentResult | None, ExperimentFailure | None, float]:
+) -> tuple[ExperimentResult | None, ExperimentFailure | None, float, dict]:
     """One experiment's full attempt loop (retries + backoff + timeout).
 
-    Returns ``(result, failure, elapsed_seconds)`` — elapsed covers the
-    attempts themselves (not backoff sleeps) and is what the run ledger
-    records.  Timeouts run through
+    Returns ``(result, failure, elapsed_seconds, counters)`` — elapsed
+    covers the attempts themselves (not backoff sleeps), and counters
+    are how far each process-wide counter moved across them (wherever
+    the experiment runs, caller or pool worker); both are what the run
+    ledger records.  Timeouts run through
     :func:`repro.parallel.executor.run_with_timeout` — a fresh daemon
     thread per attempt, so a timed-out attempt is abandoned without
-    delaying any later attempt or task (the previous per-experiment
-    ``ThreadPoolExecutor`` leaked a live non-daemon worker on every
-    timeout).
+    delaying any later attempt or task.
     """
+    before = dict(iter_nonzero_counters())
     fn = _REGISTRY.get(name)
     tracer = get_tracer()
     delays = backoff_delays(retries, base=backoff_base, cap=backoff_cap, seed=seed)
@@ -415,7 +404,12 @@ def _attempt_experiment(
                     sleep(delay)
             continue
         elapsed_total += time.perf_counter() - start
-        return outcome, None, elapsed_total
+        moved = {
+            counter: value - before.get(counter, 0)
+            for counter, value in iter_nonzero_counters()
+            if value != before.get(counter, 0)
+        }
+        return outcome, None, elapsed_total, moved
     assert last_error is not None
     add_counter("runner.failures")
     _log.error(
@@ -432,20 +426,21 @@ def _attempt_experiment(
         error_type=type(last_error).__name__,
         message=str(last_error),
         elapsed=elapsed_total,
-    ), elapsed_total
+    ), elapsed_total, {}
 
 
-def _batch_task(task: tuple) -> tuple[str, dict, float]:
+def _batch_task(task: tuple) -> tuple[str, dict, float, dict]:
     """Worker-side wrapper for one experiment of a parallel batch.
 
-    Returns picklable ``("ok", result_dict, elapsed)`` / ``("fail",
-    failure_dict, elapsed)`` tuples; the parent re-inflates them (and
-    writes the ledger — workers never touch it, so appends come from
-    one process per batch unless the caller opts into sharing a path).
+    Returns picklable ``("ok", result_dict, elapsed, counters)`` /
+    ``("fail", failure_dict, elapsed, {})`` tuples; the parent
+    re-inflates them (and writes the ledger — workers never touch it, so
+    appends come from one process per batch unless the caller opts into
+    sharing a path).
     """
     name, config, retries, timeout, backoff_base, backoff_cap, seed = task
     _ensure_loaded()
-    outcome, failure, elapsed = _attempt_experiment(
+    outcome, failure, elapsed, counters = _attempt_experiment(
         name,
         config,
         retries=retries,
@@ -455,9 +450,9 @@ def _batch_task(task: tuple) -> tuple[str, dict, float]:
         seed=seed,
     )
     if failure is not None:
-        return ("fail", failure.as_dict(), elapsed)
+        return ("fail", failure.as_dict(), elapsed, counters)
     assert outcome is not None
-    return ("ok", result_to_dict(outcome), elapsed)
+    return ("ok", result_to_dict(outcome), elapsed, counters)
 
 
 #: Cache tag for experiment-level entries (``<tag>:<experiment id>``).
@@ -495,7 +490,6 @@ def run_experiment_batch(
     seed: SeedLike = 0,
     sleep: Callable[[float], None] = time.sleep,
     workers: int = 1,
-    backend: str = "serial",
     cache_dir: str | Path | None = None,
     ledger: Ledger | str | Path | None = None,
 ) -> BatchResult:
@@ -510,27 +504,27 @@ def run_experiment_batch(
     back in ``names`` order; experiments that exhausted their retries are
     reported as :class:`ExperimentFailure` records, never as exceptions.
 
-    ``workers``/``backend`` fan the pending experiments out through
-    :func:`repro.parallel.parallel_map` (``backend="serial"`` or
-    ``workers=1`` keeps the historical sequential loop; the parallel
-    path uses real ``time.sleep`` for backoff and returns results that
-    are render-identical to the sequential ones, like checkpoint
-    resume).  ``cache_dir`` adds a content-addressed result cache keyed
-    by graph digest + experiment id + config + code version: warm
-    entries skip execution entirely and count as completed.
+    ``workers > 1`` fans the pending experiments out over a process pool
+    through :func:`repro.parallel.parallel_map` (``workers=1`` keeps the
+    sequential loop in the caller; the pool uses real ``time.sleep`` for
+    backoff and returns results that are render-identical to the
+    sequential ones, like checkpoint resume).  ``cache_dir`` adds a
+    content-addressed result cache keyed by graph digest + experiment id
+    + config + code version: warm entries skip execution entirely and
+    count as completed.
 
     ``ledger`` (a :class:`~repro.obs.ledger.Ledger` or a path) appends
     one :class:`~repro.obs.ledger.RunRecord` per freshly-executed
     experiment — cache hits and checkpoint resumes are *not* re-recorded,
-    so ledger history stays one record per real run.
+    so ledger history stays one record per real run.  Each record's
+    counters are the ones its own attempts moved, whichever process ran
+    them.
     """
     _ensure_loaded()
     if retries < 0:
         raise ReproError(f"retries must be >= 0, got {retries}")
-    if timeout is not None and timeout <= 0:
-        raise ReproError(f"timeout must be positive, got {timeout}")
-    if backend not in BACKENDS:
-        raise ReproError(f"unknown backend {backend!r}; choose from {BACKENDS}")
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise ReproError(f"timeout must be finite and positive, got {timeout}")
     if workers < 1:
         raise ReproError(f"workers must be >= 1, got {workers}")
     config = config or ExperimentConfig()
@@ -576,7 +570,7 @@ def run_experiment_batch(
         _write_checkpoint(checkpoint_path, config, completed, failures)
 
     def record_success(
-        name: str, outcome: ExperimentResult, elapsed: float | None = None
+        name: str, outcome: ExperimentResult, elapsed: float, counters: dict
     ) -> None:
         results[name] = outcome
         as_dict = result_to_dict(outcome)
@@ -590,16 +584,15 @@ def run_experiment_batch(
             )
         if ledger is not None:
             try:
-                ledger.append(
-                    record_from_result(outcome, config, elapsed=elapsed)
-                )
+                record = record_from_result(outcome, config, elapsed=elapsed)
+                ledger.append(dataclasses.replace(record, counters=counters))
             except OSError as exc:
                 _log.warning(
                     "ledger append failed",
                     extra={"experiment": name, "error": str(exc)},
                 )
 
-    if workers > 1 and backend != "serial" and pending:
+    if workers > 1 and pending:
         tasks = [
             (name, config, retries, timeout, backoff_base, backoff_cap, seed)
             for name in pending
@@ -607,7 +600,6 @@ def run_experiment_batch(
         wave = parallel_map(
             _batch_task,
             tasks,
-            backend=backend,
             workers=workers,
             chunk_size=1,
             capture_errors=True,
@@ -627,9 +619,11 @@ def run_experiment_batch(
                 )
                 failed_ids.add(name)
                 continue
-            status, payload, elapsed = outcome
+            status, payload, elapsed, counters = outcome
             if status == "ok":
-                record_success(name, result_from_dict(payload), elapsed)
+                record_success(
+                    name, result_from_dict(payload), elapsed, counters
+                )
             else:
                 failures.append(ExperimentFailure.from_dict(payload))
                 failed_ids.add(name)
@@ -637,7 +631,7 @@ def run_experiment_batch(
             _write_checkpoint(checkpoint_path, config, completed, failures)
     else:
         for name in pending:
-            outcome, failure, elapsed = _attempt_experiment(
+            outcome, failure, elapsed, counters = _attempt_experiment(
                 name,
                 config,
                 retries=retries,
@@ -652,7 +646,7 @@ def run_experiment_batch(
                 failed_ids.add(name)
             else:
                 assert outcome is not None
-                record_success(name, outcome, elapsed)
+                record_success(name, outcome, elapsed, counters)
             if checkpoint_path is not None:
                 _write_checkpoint(checkpoint_path, config, completed, failures)
     ordered = [results[n] for n in dict.fromkeys(names) if n in results]

@@ -3,20 +3,22 @@
 The seed/budget sweeps in :mod:`repro.experiments.fig2`,
 :mod:`repro.experiments.table5` and :mod:`repro.resilience.replay` all
 follow the same shape: one fixed topology, many independent cells, each
-cell addressable in the result cache.  This module centralizes the three
+cell addressable in the result cache.  This module centralizes the
 pieces they share:
 
-* the **worker graph slot** — process-backend workers attach the
+* the **worker graph slot** — process-pool workers attach the
   shared-memory graph once (pool initializer) and every task reads it
   from a module global instead of unpickling the topology per task;
 * :func:`run_graph_tasks` — dispatch tasks through
   :func:`repro.parallel.parallel_map`, publishing the graph via
   :class:`repro.parallel.SharedGraphStore` only when a process pool
   actually needs it;
-* :class:`SweepResult` + :func:`jsonify_cell` — every sweep returns a
-  deterministic JSON-safe ``payload`` (bit-identical between cold,
-  warm-cache and any-backend runs; the equivalence suite pins this)
-  alongside cache hit/miss counters that are *not* part of the payload.
+* :func:`run_cells` — the one cached-cell loop: read the cache, compute
+  the misses, write the cache;
+* :class:`SweepResult` — every sweep returns a deterministic JSON-safe
+  ``payload`` (bit-identical between cold, warm-cache and any
+  worker-count runs; the equivalence suite pins this) alongside cache
+  hit/miss counters that are *not* part of the payload.
 """
 
 from __future__ import annotations
@@ -24,14 +26,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from pathlib import Path
+from typing import Any, Callable, Sequence
 
 from repro.graph.asgraph import ASGraph
 from repro.obs.ledger import RunRecord, git_revision, now, summarize_observation
+from repro.parallel.cache import ResultCache
 from repro.parallel.executor import ParallelResult, parallel_map
 from repro.parallel.shm import AttachedGraph, SharedGraphHandle, SharedGraphStore
 
-#: Graph visible to sweep workers; set directly (serial/thread) or by the
+#: Graph visible to sweep workers; set directly (``workers=1``) or by the
 #: process-pool initializer (shared-memory attach).
 _WORKER_GRAPH: ASGraph | None = None
 #: Keeps the worker's attachment alive for the lifetime of the process.
@@ -64,57 +68,78 @@ def run_graph_tasks(
     fn: Callable,
     tasks: Sequence,
     *,
-    backend: str = "serial",
     workers: int = 1,
-    chunk_size: int | None = None,
     capture_errors: bool = False,
 ) -> ParallelResult:
-    """Run graph-bound ``fn`` over ``tasks`` under the chosen backend.
+    """Run graph-bound ``fn`` over ``tasks`` on ``workers`` processes.
 
-    For the process backend the graph is published once through shared
-    memory and attached by each worker's initializer; serial and thread
-    backends share the caller's object directly.  ``fn`` reads the graph
-    via :func:`worker_graph` so the tasks themselves stay small and
-    picklable.
+    With ``workers > 1`` the graph is published once through shared
+    memory and attached by each pool worker's initializer; with
+    ``workers=1`` the tasks share the caller's object directly.  ``fn``
+    reads the graph via :func:`worker_graph` so the tasks themselves
+    stay small and picklable.
     """
-    if backend == "process" and tasks:
+    if workers > 1 and tasks:
         with SharedGraphStore(graph) as store:
             return parallel_map(
                 fn,
                 tasks,
-                backend=backend,
                 workers=workers,
-                chunk_size=chunk_size,
                 capture_errors=capture_errors,
                 initializer=_attach_worker_graph,
                 initargs=(store.handle,),
             )
     set_worker_graph(graph)
-    return parallel_map(
-        fn,
-        tasks,
-        backend=backend,
-        workers=workers,
-        chunk_size=chunk_size,
-        capture_errors=capture_errors,
-    )
+    return parallel_map(fn, tasks, capture_errors=capture_errors)
 
 
-def jsonify_cell(cell: dict) -> dict:
-    """JSON round-trip a freshly computed cell.
+def run_cells(
+    graph: ASGraph,
+    fn: Callable,
+    cells: Sequence[tuple[dict, Any]],
+    *,
+    tag: str,
+    workers: int,
+    cache_dir: str | Path | None,
+) -> tuple[list, int, int]:
+    """Evaluate sweep cells over ``graph``, through the result cache.
 
-    A warm cache hit comes back through JSON; round-tripping the cold
-    path too makes cold and warm sweep payloads bit-identical.
+    Each cell is a ``(params, task)`` pair: ``params`` addresses the
+    cell's cache entry under ``tag`` and the graph digest, and ``task``
+    is what ``fn`` receives.  Cache hits are read back; the misses run
+    through :func:`run_graph_tasks` and each result is written with
+    ``cache.put`` — or, without a cache, JSON round-tripped the same
+    way — so cold and warm values are bit-identical.  Returns
+    ``(values, hits, misses)`` with values in input order.
     """
-    return json.loads(json.dumps(cell))
+    if cache_dir is None:
+        computed = run_graph_tasks(
+            graph, fn, [task for _, task in cells], workers=workers
+        ).values()
+        return [json.loads(json.dumps(value)) for value in computed], 0, 0
+    cache = ResultCache(cache_dir)
+    digest = graph.digest()
+    values = [
+        cache.get(graph_digest=digest, algorithm=tag, params=params)
+        for params, _ in cells
+    ]
+    missing = [i for i, value in enumerate(values) if value is None]
+    computed = run_graph_tasks(
+        graph, fn, [cells[i][1] for i in missing], workers=workers
+    ).values()
+    for i, value in zip(missing, computed):
+        values[i] = cache.put(
+            value, graph_digest=digest, algorithm=tag, params=cells[i][0]
+        )
+    return values, cache.hits, cache.misses
 
 
 @dataclass(frozen=True)
 class SweepResult:
     """A sweep's deterministic payload plus its cache counters.
 
-    ``payload`` is pure content — identical bytes for serial, thread,
-    process, cold-cache and warm-cache runs of the same sweep.
+    ``payload`` is pure content — identical bytes for any worker count
+    and for cold-cache and warm-cache runs of the same sweep.
     ``cache_hits``/``cache_misses`` describe *this* invocation and are
     deliberately kept out of the payload.
     """
@@ -141,8 +166,8 @@ def record_from_sweep(
 ) -> RunRecord:
     """The ledger :class:`~repro.obs.ledger.RunRecord` for one sweep run.
 
-    Because the payload is bit-identical across backends and cache
-    states, its SHA-256 is a strong ``result_digest``: any backend- or
+    Because the payload is bit-identical across worker counts and cache
+    states, its SHA-256 is a strong ``result_digest``: any worker- or
     cache-dependent drift trips the exact regression gate.  Cache
     hit/miss counts land in ``counters`` (they describe the run, not the
     content).

@@ -18,13 +18,7 @@ from repro.core.coverage import coverage_fraction
 from repro.core.maxsg import maxsg
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, register
-from repro.experiments.sweeps import (
-    SweepResult,
-    jsonify_cell,
-    run_graph_tasks,
-    worker_graph,
-)
-from repro.parallel.cache import ResultCache
+from repro.experiments.sweeps import SweepResult, run_cells, worker_graph
 from repro.types import BusinessCategory
 
 
@@ -120,16 +114,15 @@ def table5_budget_sweep(
     budgets: list[int] | None = None,
     top: int = 10,
     workers: int = 1,
-    backend: str = "serial",
     cache_dir: str | Path | None = None,
-    chunk_size: int | None = None,
 ) -> SweepResult:
     """Table 5's ranking regenerated at many broker budgets.
 
     Like :func:`repro.experiments.fig2.fig2b_seed_sweep`, one MaxSG run
     at the largest budget yields every prefix; each budget's evaluation
     (coverage, saturated connectivity, composition, top ranks) is an
-    independent cell dispatched through the executor + cache.
+    independent cell dispatched through
+    :func:`~repro.experiments.sweeps.run_cells`.
     """
     graph = config.graph()
     if budgets is None:
@@ -137,60 +130,26 @@ def table5_budget_sweep(
     else:
         budgets = sorted(dict.fromkeys(int(b) for b in budgets))
     brokers_full = maxsg(graph, max(budgets))
-    digest = graph.digest()
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-
-    cells: dict[int, dict] = {}
-    tasks: list[dict] = []
+    cells = []
     for b in budgets:
         params = {"budget": b, "top": top, "algorithm": "maxsg-prefix"}
-        if cache is not None:
-            hit = cache.get(
-                graph_digest=digest, algorithm=TABLE5_CELL_TAG, params=params
-            )
-            if hit is not None:
-                cells[b] = hit
-                continue
-        tasks.append(
-            {
-                "budget": b,
-                "top": top,
-                "brokers": brokers_full[: min(b, len(brokers_full))],
-                "params": params,
-            }
-        )
-    computed = run_graph_tasks(
+        cells.append((params, {**params, "brokers": brokers_full[:b]}))
+    values, hits, misses = run_cells(
         graph,
         _table5_cell,
-        tasks,
-        backend=backend,
+        cells,
+        tag=TABLE5_CELL_TAG,
         workers=workers,
-        chunk_size=chunk_size,
-    ).values()
-    for task, cell in zip(tasks, computed):
-        if cache is not None:
-            cell = cache.put(
-                cell,
-                graph_digest=digest,
-                algorithm=TABLE5_CELL_TAG,
-                params=task["params"],
-            )
-        else:
-            cell = jsonify_cell(cell)
-        cells[task["budget"]] = cell
-
+        cache_dir=cache_dir,
+    )
     payload = {
         "sweep": "table5",
         "scale": config.scale,
         "graph_seed": config.seed,
-        "graph_digest": digest,
+        "graph_digest": graph.digest(),
         "algorithm": "maxsg-prefix",
         "top": top,
         "budgets": budgets,
-        "cells": [{"budget": b, **cells[b]} for b in budgets],
+        "cells": [{"budget": b, **value} for b, value in zip(budgets, values)],
     }
-    return SweepResult(
-        payload=payload,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
-    )
+    return SweepResult(payload=payload, cache_hits=hits, cache_misses=misses)

@@ -101,6 +101,7 @@ from repro.obs.ledger import (
     default_ledger_path,
     git_revision,
     summarize_observation,
+    write_atomic,
 )
 from repro.obs.regress import (
     CheckResult,
@@ -184,5 +185,6 @@ __all__ = [
     "summarize_observation",
     "use_span_context",
     "use_tracer",
+    "write_atomic",
     "write_dashboard",
 ]

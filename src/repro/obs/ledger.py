@@ -4,7 +4,7 @@ The tracer and metrics registry observe a single process and evaporate
 at exit; the ledger is what persists.  One :class:`RunRecord` per
 experiment / sweep / benchmark run captures everything a later session
 needs to judge the run: git revision, graph digest, algorithm, params,
-the coverage numbers (Table-1 style fractions), the nonzero counters,
+the coverage numbers (Table-1 style fractions), the run's counters,
 and wall-clock histograms with exact quantiles.
 
 Design points:
@@ -177,6 +177,29 @@ class RunRecord:
                 self.graph_digest)
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` atomically (temp file + ``os.replace``).
+
+    The text goes to a temp file beside ``path`` that is renamed over it,
+    so a killed writer leaves the old file or the new one, never a torn
+    one; on failure the temp file is removed.  Parent directories are
+    created as needed.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=str(target.parent), prefix=target.name, suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -286,20 +309,7 @@ class Ledger:
         pin.  Returns the number of records written.
         """
         records = self.records()
-        text = "".join(r.to_line() + "\n" for r in records)
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(target.parent), prefix=target.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, target)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(path, "".join(r.to_line() + "\n" for r in records))
         return len(records)
 
     def import_file(self, path: str | Path) -> int:

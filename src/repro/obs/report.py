@@ -23,14 +23,12 @@ from __future__ import annotations
 
 import html as _html
 import json
-import os
-import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
 from repro._version import __version__
-from repro.obs.ledger import RunRecord
+from repro.obs.ledger import RunRecord, write_atomic
 from repro.obs.regress import (
     STATUS_REGRESSION,
     CheckResult,
@@ -190,20 +188,7 @@ def bench_document(records: Sequence[RunRecord]) -> dict:
 def export_bench(records: Sequence[RunRecord], path: str | Path) -> dict:
     """Write :func:`bench_document` to ``path`` atomically; returns it."""
     document = bench_document(records)
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(target.parent), prefix=target.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(document, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, json.dumps(document, sort_keys=True, indent=2) + "\n")
     return document
 
 

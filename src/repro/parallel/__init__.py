@@ -2,11 +2,11 @@
 
 Three cooperating pieces (see each module's docstring):
 
-* :mod:`repro.parallel.executor` — backend-agnostic ``parallel_map``
-  with seeded per-task RNG derivation and per-task error capture, plus
+* :mod:`repro.parallel.executor` — ``parallel_map`` (in the caller at
+  ``workers=1``, a process pool above) with per-task error capture, plus
   the leak-free ``run_with_timeout`` used by the hardened batch runner;
 * :mod:`repro.parallel.shm` — zero-copy graph publication over
-  ``multiprocessing.shared_memory`` for process-backend workers;
+  ``multiprocessing.shared_memory`` for process-pool workers;
 * :mod:`repro.parallel.cache` — content-addressed on-disk result cache
   keyed by graph digest + algorithm + canonical params + code version.
 """
@@ -19,10 +19,8 @@ from repro.parallel.cache import (
     canonicalize_params,
 )
 from repro.parallel.executor import (
-    BACKENDS,
     ParallelResult,
     TaskFailure,
-    derive_task_seeds,
     orphaned_worker_count,
     parallel_map,
     run_with_timeout,
@@ -35,7 +33,6 @@ from repro.parallel.shm import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CACHE_SCHEMA_VERSION",
     "AttachedGraph",
     "CacheStats",
@@ -47,7 +44,6 @@ __all__ = [
     "attach_graph",
     "cache_key",
     "canonicalize_params",
-    "derive_task_seeds",
     "orphaned_worker_count",
     "parallel_map",
     "run_with_timeout",

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -32,7 +30,7 @@ import numpy as np
 
 from repro._version import __version__
 from repro.exceptions import ReproError
-from repro.obs import add_counter
+from repro.obs import add_counter, write_atomic
 
 #: Bump when the entry layout changes; part of every cache key.
 CACHE_SCHEMA_VERSION = 1
@@ -196,19 +194,7 @@ class ResultCache:
             raise ReproError(
                 f"cache value for {algorithm!r} is not JSON-serializable: {exc}"
             ) from exc
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(raw)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(self._path(key), raw)
         add_counter("cache.puts")
         return json.loads(raw)["value"]
 

@@ -1,39 +1,29 @@
-"""Backend-agnostic task execution for experiment sweeps.
+"""Task execution for experiment sweeps: in the caller or a process pool.
 
-:func:`parallel_map` runs one function over many items with a
-configurable backend:
+:func:`parallel_map` runs one function over many items.  The worker
+count is the only execution setting: ``workers=1`` runs a plain loop in
+the calling process, and ``workers > 1`` runs a
+:class:`~concurrent.futures.ProcessPoolExecutor` (the task function and
+items must be picklable).  Results come back in item order either way,
+so a task that carries its own seed gives the same answer on both paths
+and under any chunking.  Failures are captured per task as
+:class:`TaskFailure` records that convert directly into the experiment
+runner's ``ExperimentFailure`` machinery instead of aborting the whole
+sweep.
 
-* ``serial`` — a plain loop in the calling process (the reference
-  semantics every other backend must reproduce bit-for-bit);
-* ``thread`` — a :class:`~concurrent.futures.ThreadPoolExecutor`
-  (useful when tasks release the GIL inside NumPy/SciPy kernels);
-* ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  (true parallelism; the task function and items must be picklable).
-
-Determinism is the design center: per-task RNGs are derived *in the
-parent* from a root seed and the task index (``SeedSequence.spawn``), so
-results never depend on the backend, the worker count, or the chunking.
-Failures are captured per task as :class:`TaskFailure` records that
-convert directly into the experiment runner's ``ExperimentFailure``
-machinery instead of aborting the whole sweep.
-
-Tracing crosses the backend boundary.  When a :class:`~repro.obs.Tracer`
+Tracing crosses the process boundary.  When a :class:`~repro.obs.Tracer`
 is active, the whole map runs under one ``parallel.map`` span and each
-task gets a ``parallel.task`` child.  The ``thread`` backend carries the
-caller's trace context into workers by submitting chunks under a
-:func:`contextvars.copy_context` snapshot; the ``process`` backend —
-where the parent's tracer object cannot follow — serializes the map
-span's :class:`~repro.obs.TraceContext` into a *trace envelope* handed
-to :func:`_run_chunk`, and each worker opens a local tracer whose spans
-are appended to a per-process JSONL shard in the active tracer's
+task gets a ``parallel.task`` child.  Pool workers cannot see the
+parent's tracer object, so the map span's
+:class:`~repro.obs.TraceContext` is serialized into a *trace envelope*
+handed to :func:`_run_chunk`; each worker opens a local tracer whose
+spans are appended to a per-process JSONL shard in the active tracer's
 ``shard_dir`` (merged back into the main trace by
-:mod:`repro.obs.collect`).  Without a ``shard_dir`` the process backend
-simply doesn't collect worker-side spans, exactly as before.
+:mod:`repro.obs.collect`).  Without a ``shard_dir`` worker-side spans
+are simply not collected.
 
 :func:`run_with_timeout` is the wall-clock guard used by the hardened
-experiment runner.  Unlike the previous per-experiment
-``ThreadPoolExecutor`` (whose non-daemon worker leaked and kept running
-after a timeout), it runs the task on a *daemon* thread, records
+experiment runner.  It runs the task on a *daemon* thread, records
 abandoned workers in an orphan registry, and never makes a later task
 wait behind a timed-out one.
 """
@@ -42,26 +32,17 @@ from __future__ import annotations
 
 import atexit
 import concurrent.futures
-import contextvars
 import math
 import threading
 import time
 import traceback as _traceback
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Literal, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.exceptions import ExperimentTimeoutError, ReproError
 from repro.obs import add_counter, get_logger, get_tracer, observe, set_gauge
-from repro.utils.rng import SeedLike
 
 _log = get_logger("parallel")
-
-Backend = Literal["serial", "thread", "process"]
-
-#: Backends accepted by :func:`parallel_map` (and the CLI ``--backend`` flags).
-BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
 
 
 @dataclass(frozen=True)
@@ -119,22 +100,6 @@ class ParallelResult:
         return list(self.results)
 
 
-def derive_task_seeds(seed: SeedLike, count: int) -> list[np.random.SeedSequence]:
-    """``count`` independent child seed sequences, one per task index.
-
-    Derivation happens once, in the parent, purely from ``seed`` and the
-    task index — the same task always sees the same RNG stream no matter
-    which backend or worker executes it.
-    """
-    if count < 0:
-        raise ReproError(f"count must be >= 0, got {count}")
-    if isinstance(seed, np.random.Generator):
-        root = seed.bit_generator.seed_seq
-    else:
-        root = np.random.SeedSequence(seed)
-    return list(root.spawn(count))
-
-
 def _chunk_bounds(total: int, chunk_size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
 
@@ -142,21 +107,16 @@ def _chunk_bounds(total: int, chunk_size: int) -> list[tuple[int, int]]:
 def _execute_tasks(
     fn: Callable,
     indexed_items: Sequence[tuple[int, Any]],
-    seeds: Sequence[np.random.SeedSequence] | None,
     capture_errors: bool,
 ) -> list[tuple[int, bool, Any, float]]:
-    """The task loop shared by every backend (runs in the worker)."""
+    """The task loop shared by the caller and the pool workers."""
     tracer = get_tracer()
     out: list[tuple[int, bool, Any, float]] = []
-    for pos, (index, item) in enumerate(indexed_items):
+    for index, item in indexed_items:
         started = time.perf_counter()
         with tracer.span("parallel.task", index=index):
             try:
-                if seeds is not None:
-                    rng = np.random.default_rng(seeds[pos])
-                    value = fn(item, rng)
-                else:
-                    value = fn(item)
+                value = fn(item)
             except Exception as exc:  # noqa: BLE001 — captured per task
                 if not capture_errors:
                     raise
@@ -176,7 +136,6 @@ def _execute_tasks(
 def _run_chunk(
     fn: Callable,
     indexed_items: Sequence[tuple[int, Any]],
-    seeds: Sequence[np.random.SeedSequence] | None,
     capture_errors: bool,
     submitted_at: float | None = None,
     trace_envelope: dict | None = None,
@@ -188,9 +147,9 @@ def _run_chunk(
     returned as plain picklable tuples rather than exception objects.
     ``queue_seconds`` is how long the chunk waited between submission and
     its first task starting (``time.monotonic`` is system-wide on the
-    platforms the process backend targets; clamped at zero otherwise).
+    platforms the process pool targets; clamped at zero otherwise).
 
-    ``trace_envelope`` (process backend only) is
+    ``trace_envelope`` (pool workers only) is
     ``{"context": TraceContext dict, "shard_dir": path}``: the chunk
     runs under a fresh worker-local tracer with a ``parallel.chunk``
     span parented at the serialized context, and the collected spans are
@@ -202,10 +161,7 @@ def _run_chunk(
         else 0.0
     )
     if trace_envelope is None:
-        return (
-            _execute_tasks(fn, indexed_items, seeds, capture_errors),
-            queue_seconds,
-        )
+        return _execute_tasks(fn, indexed_items, capture_errors), queue_seconds
 
     from repro.obs.tracer import TraceContext, Tracer, use_tracer
 
@@ -219,7 +175,7 @@ def _run_chunk(
                 tasks=len(indexed_items),
                 queue_seconds=round(queue_seconds, 6),
             ):
-                out = _execute_tasks(fn, indexed_items, seeds, capture_errors)
+                out = _execute_tasks(fn, indexed_items, capture_errors)
     finally:
         try:
             shard_tracer.export_shard(trace_envelope["shard_dir"])
@@ -232,49 +188,36 @@ def parallel_map(
     fn: Callable,
     items: Iterable,
     *,
-    backend: str = "serial",
-    workers: int | None = None,
+    workers: int = 1,
     chunk_size: int | None = None,
-    seed: SeedLike | None = None,
     capture_errors: bool = False,
     initializer: Callable | None = None,
     initargs: tuple = (),
 ) -> ParallelResult:
-    """Map ``fn`` over ``items`` under the chosen execution backend.
+    """Map ``fn`` over ``items``, in the caller or in a process pool.
 
     Parameters
     ----------
     fn:
-        Called as ``fn(item)`` — or ``fn(item, rng)`` when ``seed`` is
-        given.  Must be picklable (module-level) for ``backend="process"``.
-    backend:
-        One of :data:`BACKENDS`.  All backends produce identical results
-        in item order.
+        Called as ``fn(item)``.  Must be picklable (module-level) when
+        ``workers > 1``.
     workers:
-        Pool size for ``thread``/``process`` (default 4; ignored by
-        ``serial``).
+        ``1`` runs the tasks in the calling process; more runs a
+        :class:`~concurrent.futures.ProcessPoolExecutor` of that size.
+        Both give identical results in item order.
     chunk_size:
-        Items per submitted future (default: ~4 chunks per worker);
-        amortizes IPC overhead for the process backend.
-    seed:
-        Root seed for per-task RNG derivation (see
-        :func:`derive_task_seeds`).  ``None`` calls ``fn(item)`` without
-        an RNG.
+        Items per submitted future in the pool (default: ~4 chunks per
+        worker); amortizes IPC overhead.
     capture_errors:
         When true, a raising (or crashing) task becomes a
         :class:`TaskFailure` and the rest of the sweep continues; when
         false the first error propagates.
     initializer, initargs:
         Per-worker setup hook (e.g. attaching a shared-memory graph).
-        For ``serial`` the initializer runs once in the caller.
+        With ``workers=1`` the initializer runs once in the caller.
     """
-    if backend not in BACKENDS:
-        raise ReproError(f"unknown backend {backend!r}; choose from {BACKENDS}")
     items = list(items)
     total = len(items)
-    seeds = derive_task_seeds(seed, total) if seed is not None else None
-    if workers is None:
-        workers = 4
     if workers < 1:
         raise ReproError(f"workers must be >= 1, got {workers}")
 
@@ -304,27 +247,19 @@ def parallel_map(
                     )
                 )
 
-    with tracer.span(
-        "parallel.map", backend=backend, tasks=total
-    ) as map_span:
-        if backend == "serial" or total == 0:
+    with tracer.span("parallel.map", workers=workers, tasks=total) as map_span:
+        if workers == 1 or total == 0:
             if initializer is not None:
                 initializer(*initargs)
-            absorb(
-                _run_chunk(fn, list(enumerate(items)), seeds, capture_errors)
-            )
+            absorb(_run_chunk(fn, list(enumerate(items)), capture_errors))
             failures.sort(key=lambda f: f.index)
             return ParallelResult(results=results, failures=tuple(failures))
 
-        # Process workers cannot see the parent tracer; hand them the map
+        # Pool workers cannot see the parent tracer; hand them the map
         # span's serialized context plus a shard directory to append
         # their spans to (only when the active tracer opted in).
         envelope = None
-        if (
-            backend == "process"
-            and tracer.enabled
-            and getattr(tracer, "shard_dir", None)
-        ):
+        if tracer.enabled and getattr(tracer, "shard_dir", None):
             envelope = {
                 "context": map_span.context.to_dict(),
                 "shard_dir": tracer.shard_dir,
@@ -332,39 +267,20 @@ def parallel_map(
 
         if chunk_size is None:
             chunk_size = max(1, math.ceil(total / (workers * 4)))
-        bounds = _chunk_bounds(total, chunk_size)
-        if backend == "thread":
-            pool_cls = concurrent.futures.ThreadPoolExecutor
-            pool_kwargs = dict(
-                max_workers=workers, initializer=initializer, initargs=initargs
-            )
-        else:
-            pool_cls = concurrent.futures.ProcessPoolExecutor
-            pool_kwargs = dict(
-                max_workers=workers, initializer=initializer, initargs=initargs
-            )
-        with pool_cls(**pool_kwargs) as pool:
-            futures = {}
-            for lo, hi in bounds:
-                indexed = [(i, items[i]) for i in range(lo, hi)]
-                chunk_seeds = seeds[lo:hi] if seeds is not None else None
-                chunk_args = (
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=initializer, initargs=initargs
+        ) as pool:
+            futures = {
+                pool.submit(
+                    _run_chunk,
                     fn,
-                    indexed,
-                    chunk_seeds,
+                    [(i, items[i]) for i in range(lo, hi)],
                     capture_errors,
                     time.monotonic(),
                     envelope,
-                )
-                if backend == "thread":
-                    # Threads share the tracer object but not the ambient
-                    # context; a per-chunk contextvars snapshot keeps each
-                    # chunk's spans nested under this parallel.map span.
-                    ctx = contextvars.copy_context()
-                    fut = pool.submit(ctx.run, _run_chunk, *chunk_args)
-                else:
-                    fut = pool.submit(_run_chunk, *chunk_args)
-                futures[fut] = (lo, hi)
+                ): (lo, hi)
+                for lo, hi in _chunk_bounds(total, chunk_size)
+            }
             for fut in concurrent.futures.as_completed(futures):
                 lo, hi = futures[fut]
                 try:
@@ -448,8 +364,8 @@ def run_with_timeout(
     """
     if timeout is None:
         return fn(*args)
-    if timeout <= 0:
-        raise ReproError(f"timeout must be positive, got {timeout}")
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ReproError(f"timeout must be finite and positive, got {timeout}")
     box: dict[str, Any] = {}
     done = threading.Event()
 

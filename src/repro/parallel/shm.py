@@ -1,4 +1,4 @@
-"""Zero-copy graph sharing for process-backend sweeps.
+"""Zero-copy graph sharing for process-pool sweeps.
 
 Pickling a 52,079-node :class:`~repro.graph.asgraph.ASGraph` into every
 worker task would dominate the cost of the embarrassingly parallel
@@ -198,7 +198,7 @@ def attach_graph(handle: SharedGraphHandle) -> AttachedGraph:
     """Attach to a published graph (worker side).
 
     Note on the resource tracker: with the ``fork`` start method (the
-    Linux default, and what the process backend uses here) attachers
+    Linux default, and what the process pool uses here) attachers
     share the publisher's tracker, so attaching re-registers the same
     segment name into the same set and only the publisher's ``unlink``
     finally unregisters it — no double-unlink, no "leaked shared_memory"

@@ -311,83 +311,55 @@ def replay_many(
     policy: SlaPolicy | None = None,
     heal: bool = True,
     workers: int = 1,
-    backend: str = "serial",
     cache_dir: str | Path | None = None,
-    chunk_size: int | None = None,
 ) -> ReplaySweep:
     """Replay many fault campaigns over one shared topology.
 
     Each schedule's replay is independent — the embarrassingly parallel
     shape of a multi-seed resilience sweep — so replays are dispatched
-    through :func:`repro.experiments.sweeps.run_graph_tasks` (shared-
-    memory graph under the process backend) and cached content-addressed
-    by graph digest + brokers + policy + the schedule's canonical event
-    stream.  Because :func:`replay_schedule` is deterministic, cached
-    and recomputed cells are bit-identical.
+    through :func:`repro.experiments.sweeps.run_cells` (shared-memory
+    graph in a process pool) and cached content-addressed by graph
+    digest + brokers + policy + the schedule's canonical event stream.
+    Because :func:`replay_schedule` is deterministic, cached and
+    recomputed cells are bit-identical.
     """
-    from repro.experiments.sweeps import jsonify_cell, run_graph_tasks
-    from repro.parallel.cache import ResultCache
+    from repro.experiments.sweeps import run_cells
 
     policy = policy if policy is not None else SlaPolicy()
     brokers = [int(b) for b in brokers]
-    digest = graph.digest()
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
     policy_params = {
         "threshold": policy.threshold,
         "repair_budget": policy.repair_budget,
         "max_total_added": policy.max_total_added,
     }
-
-    cells: dict[int, dict] = {}
-    tasks: list[dict] = []
-    for index, schedule in enumerate(schedules):
-        params = {
-            "brokers": brokers,
-            "policy": policy_params,
-            "heal": heal,
-            "schedule": schedule_cache_params(schedule),
-        }
-        if cache is not None:
-            hit = cache.get(
-                graph_digest=digest, algorithm=REPLAY_CELL_TAG, params=params
-            )
-            if hit is not None:
-                cells[index] = hit
-                continue
-        tasks.append(
+    cells = [
+        (
             {
-                "index": index,
+                "brokers": brokers,
+                "policy": policy_params,
+                "heal": heal,
+                "schedule": schedule_cache_params(schedule),
+            },
+            {
                 "schedule": schedule,
                 "brokers": brokers,
                 "policy": policy,
                 "heal": heal,
-                "params": params,
-            }
+            },
         )
-    computed = run_graph_tasks(
+        for schedule in schedules
+    ]
+    ordered, hits, misses = run_cells(
         graph,
         _replay_cell,
-        tasks,
-        backend=backend,
+        cells,
+        tag=REPLAY_CELL_TAG,
         workers=workers,
-        chunk_size=chunk_size,
-    ).values()
-    for task, cell in zip(tasks, computed):
-        if cache is not None:
-            cell = cache.put(
-                cell,
-                graph_digest=digest,
-                algorithm=REPLAY_CELL_TAG,
-                params=task["params"],
-            )
-        else:
-            cell = jsonify_cell(cell)
-        cells[task["index"]] = cell
-
-    ordered = [cells[i] for i in range(len(schedules))]
+        cache_dir=cache_dir,
+    )
     payload = {
         "sweep": "resilience-replay",
-        "graph_digest": digest,
+        "graph_digest": graph.digest(),
         "brokers": brokers,
         "heal": heal,
         "policy": policy_params,
@@ -397,6 +369,6 @@ def replay_many(
     return ReplaySweep(
         reports=tuple(report_from_dict(c) for c in ordered),
         payload=payload,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
+        cache_hits=hits,
+        cache_misses=misses,
     )

@@ -29,9 +29,9 @@ import numpy as np
 
 from repro.core.engine import DominationEngine
 from repro.exceptions import AlgorithmError
-from repro.graph.asgraph import ASGraph, EdgeAttributes
+from repro.graph.asgraph import ASGraph
 from repro.graph.multigraph import MultiGraph
-from repro.types import LinkKind, Relationship
+from repro.types import Relationship
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -64,13 +64,11 @@ def _metric_array(values, what: str) -> np.ndarray:
 class LinkMetrics:
     """Per-undirected-edge latency (ms) and bandwidth (Gbps) annotations.
 
-    .. deprecated::
-        ``LinkMetrics`` predates the first-class edge attributes on
-        :class:`~repro.graph.asgraph.ASGraph`; it is kept as a thin
-        adapter so existing call sites and pickles keep working.  New
-        code should attach :class:`~repro.graph.asgraph.EdgeAttributes`
-        to the graph (``graph.with_edge_attrs(...)``) and let the QoS
-        functions read them directly (``metrics=None``).
+    What the QoS functions below compute over: pass one explicitly (as
+    :func:`synthesize_link_metrics` returns it; the ``ext_qos``
+    experiment runs on that), or pass ``metrics=None`` to read a graph's
+    own :class:`~repro.graph.asgraph.EdgeAttributes` (capacity as
+    bandwidth).
     """
 
     latency_ms: np.ndarray
@@ -87,27 +85,6 @@ class LinkMetrics:
         object.__setattr__(self, "latency_ms", latency)
         object.__setattr__(self, "bandwidth_gbps", bandwidth)
 
-    @classmethod
-    def from_edge_attrs(cls, attrs: EdgeAttributes) -> "LinkMetrics":
-        """Adapt first-class edge attributes to the legacy metric pair."""
-        return cls(
-            latency_ms=attrs.latency_ms, bandwidth_gbps=attrs.capacity_gbps
-        )
-
-    def to_edge_attrs(
-        self, link_kind: np.ndarray | None = None
-    ) -> EdgeAttributes:
-        """Lift to :class:`EdgeAttributes` (default kind: private peering)."""
-        if link_kind is None:
-            link_kind = np.full(
-                len(self.latency_ms), int(LinkKind.PRIVATE_PEERING), dtype=np.uint8
-            )
-        return EdgeAttributes(
-            capacity_gbps=self.bandwidth_gbps,
-            latency_ms=self.latency_ms,
-            link_kind=link_kind,
-        )
-
 
 def _resolve_metrics(graph: ASGraph, metrics: LinkMetrics | None) -> LinkMetrics:
     """Explicit metrics win; otherwise read the graph's own attributes."""
@@ -123,7 +100,10 @@ def _resolve_metrics(graph: ASGraph, metrics: LinkMetrics | None) -> LinkMetrics
             "no metrics given and the graph carries no edge attributes; "
             "pass metrics= or annotate the graph via with_edge_attrs()"
         )
-    return LinkMetrics.from_edge_attrs(graph.edge_attrs)
+    return LinkMetrics(
+        latency_ms=graph.edge_attrs.latency_ms,
+        bandwidth_gbps=graph.edge_attrs.capacity_gbps,
+    )
 
 
 def synthesize_link_metrics(

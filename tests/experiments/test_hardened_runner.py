@@ -5,6 +5,7 @@ after each test, so the real registry stays clean.
 """
 
 import json
+import math
 import time
 
 import pytest
@@ -63,8 +64,9 @@ class TestHappyPath:
     def test_validation(self):
         with pytest.raises(ReproError):
             run_experiment_batch(["table1"], CONFIG, retries=-1)
-        with pytest.raises(ReproError):
-            run_experiment_batch(["table1"], CONFIG, timeout=0)
+        for timeout in (0, -1.0, math.nan, math.inf):
+            with pytest.raises(ReproError, match="finite and positive"):
+                run_experiment_batch(["table1"], CONFIG, timeout=timeout)
 
 
 class TestRetries:
@@ -264,7 +266,7 @@ class TestTimeoutIsolation:
 
 
 class TestParallelBatch:
-    """The ``workers``/``backend``/``cache_dir`` wave of the runner."""
+    """The ``workers``/``cache_dir`` wave of the runner."""
 
     def _register_trio(self, registry):
         registry("_hr_p1", lambda c: make_result("_hr_p1", rows=((1, 2),)))
@@ -272,13 +274,10 @@ class TestParallelBatch:
         registry("_hr_p3", lambda c: make_result("_hr_p3", rows=((5, 6),)))
         return ["_hr_p1", "_hr_p2", "_hr_p3"]
 
-    @pytest.mark.parametrize("backend", ("thread", "process"))
-    def test_parallel_matches_serial(self, registry, backend):
+    def test_parallel_matches_serial(self, registry):
         names = self._register_trio(registry)
         serial = run_experiment_batch(names, CONFIG)
-        parallel = run_experiment_batch(
-            names, CONFIG, workers=2, backend=backend
-        )
+        parallel = run_experiment_batch(names, CONFIG, workers=2)
         assert parallel.ok
         assert [result_to_dict(r) for r in parallel.results] == [
             result_to_dict(r) for r in serial.results
@@ -290,9 +289,7 @@ class TestParallelBatch:
 
         registry("_hr_pbad", broken)
         registry("_hr_pok", lambda c: make_result("_hr_pok"))
-        batch = run_experiment_batch(
-            ["_hr_pbad", "_hr_pok"], CONFIG, workers=2, backend="thread"
-        )
+        batch = run_experiment_batch(["_hr_pbad", "_hr_pok"], CONFIG, workers=2)
         assert not batch.ok
         [failure] = batch.failures
         assert failure.experiment_id == "_hr_pbad"
@@ -300,8 +297,10 @@ class TestParallelBatch:
         assert [r.experiment_id for r in batch.results] == ["_hr_pok"]
 
     def test_invalid_backend_and_workers(self):
-        with pytest.raises(ReproError, match="backend"):
-            run_experiment_batch(["table1"], CONFIG, backend="gpu")
+        # The worker count is the only execution setting: no alias takes
+        # the old backend keyword.
+        with pytest.raises(TypeError, match="backend"):
+            run_experiment_batch(["table1"], CONFIG, backend="process")
         with pytest.raises(ReproError, match="workers"):
             run_experiment_batch(["table1"], CONFIG, workers=0)
 
@@ -337,13 +336,13 @@ class TestParallelBatch:
         names = self._register_trio(registry)
         ckpt = tmp_path / "wave.json"
         batch = run_experiment_batch(
-            names, CONFIG, workers=2, backend="thread", checkpoint=ckpt
+            names, CONFIG, workers=2, checkpoint=ckpt
         )
         assert batch.ok
         saved = json.loads(ckpt.read_text())
         assert sorted(saved["completed"]) == sorted(names)
         resumed = run_experiment_batch(
-            names, CONFIG, workers=2, backend="thread", checkpoint=ckpt
+            names, CONFIG, workers=2, checkpoint=ckpt
         )
         assert resumed.resumed == tuple(names)
 
@@ -416,20 +415,42 @@ class TestLedgerIntegration:
         assert not batch.ok
         assert len(Ledger(path).records()) == 0
 
-    def test_parallel_thread_batch_records(self, registry, tmp_path):
+    def test_parallel_batch_records(self, registry, tmp_path):
         from repro.obs.ledger import Ledger
 
         registry("_hr_lp1", lambda c: make_result("_hr_lp1"))
         registry("_hr_lp2", lambda c: make_result("_hr_lp2"))
         path = tmp_path / "ledger.jsonl"
         batch = run_experiment_batch(
-            ["_hr_lp1", "_hr_lp2"], CONFIG,
-            workers=2, backend="thread", ledger=path,
+            ["_hr_lp1", "_hr_lp2"], CONFIG, workers=2, ledger=path,
         )
         assert batch.ok
         records = Ledger(path).records()
         assert sorted(r.experiment for r in records) == ["_hr_lp1", "_hr_lp2"]
         assert all(r.timings["experiment.seconds"]["p50"] > 0 for r in records)
+
+    def test_each_record_carries_only_its_own_counters(self, tmp_path):
+        """A record counts its experiment's attempts, not the process's
+        history, and the counts are the same wherever the attempts ran."""
+        from repro.obs.ledger import Ledger
+
+        def kernel_counters(names, workers, path):
+            run_experiment_batch(names, CONFIG, workers=workers, ledger=path)
+            return {
+                r.experiment: {
+                    k: v for k, v in r.counters.items()
+                    if k.startswith("kernel.")
+                }
+                for r in Ledger(path).records()
+            }
+
+        alone = kernel_counters(["table1"], 1, tmp_path / "alone.jsonl")
+        serial = kernel_counters(["table1", "fig3"], 1, tmp_path / "s.jsonl")
+        pooled = kernel_counters(["table1", "fig3"], 2, tmp_path / "p.jsonl")
+        assert alone["table1"]["kernel.maxsg.calls"] > 0
+        assert serial["table1"] == pooled["table1"] == alone["table1"]
+        for record in (serial["fig3"], pooled["fig3"]):
+            assert not any(k.startswith("kernel.maxsg.") for k in record)
 
     def test_coverage_flattening(self):
         from repro.experiments.runner import _coverage_from_paper_values

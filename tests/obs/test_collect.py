@@ -144,7 +144,7 @@ class TestMerge:
 
 class TestMultiprocessRoundTrip:
     def test_process_backend_spans_merge_into_complete_trace(self, tmp_path):
-        """Real end-to-end: parallel_map(process) shards → merged trace."""
+        """Real end-to-end: a process pool's shards → merged trace."""
         from repro.parallel.executor import parallel_map
 
         shard_dir = tmp_path / "shards"
@@ -152,8 +152,7 @@ class TestMultiprocessRoundTrip:
         with use_tracer(tracer):
             with tracer.span("driver"):
                 result = parallel_map(
-                    _square, list(range(8)), backend="process", workers=2,
-                    chunk_size=2,
+                    _square, list(range(8)), workers=2, chunk_size=2,
                 )
         assert result.values() == [i * i for i in range(8)]
         assert discover_shards(shard_dir), "workers wrote no shards"

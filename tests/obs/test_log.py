@@ -125,7 +125,7 @@ class TestConfigureLogging:
 
         stream = io.StringIO()
         configure_logging("warning", json_output=True, stream=stream)
-        outcome, failure, elapsed = _attempt_experiment(
+        outcome, failure, elapsed, counters = _attempt_experiment(
             "definitely-not-an-experiment",
             None,
             retries=1,
@@ -136,6 +136,7 @@ class TestConfigureLogging:
             sleep=lambda _s: None,
         )
         assert outcome is None and failure is not None
+        assert counters == {}  # a failure is never recorded, so counts none
         lines = [json.loads(l) for l in stream.getvalue().strip().splitlines()]
         retry = next(l for l in lines if "retrying" in l["message"])
         assert retry["experiment"] == "definitely-not-an-experiment"

@@ -1,15 +1,11 @@
-"""Equivalence suite: every sweep is bit-identical across backends and caches.
+"""Equivalence suite: every sweep is bit-identical across workers and caches.
 
 The contract under test: a sweep's JSON payload does not depend on the
-execution backend, the worker count, the chunking, or whether results
-came from the cache or were computed cold.
-
-``REPRO_TEST_BACKEND`` (default ``process``) picks the non-serial backend
-to compare against serial — the CI matrix runs the suite once per value.
+worker count (``workers=1`` runs in the caller, ``WORKERS`` a process
+pool) or on whether results came from the cache or were computed cold.
 """
 
 import json
-import os
 
 import pytest
 
@@ -20,7 +16,7 @@ from repro.resilience import replay_many
 from repro.resilience.faults import independent_crashes
 from tests import fixtures
 
-BACKEND = os.environ.get("REPRO_TEST_BACKEND", "process")
+WORKERS = 2
 
 CONFIG = ExperimentConfig(scale="tiny", seed=1, num_sources=150)
 SEEDS = [1, 2]
@@ -40,16 +36,9 @@ def table5_serial():
 class TestFig2bSweep:
     def test_backend_equivalence(self, fig2b_serial):
         parallel = fig2b_seed_sweep(
-            CONFIG, seeds=SEEDS, budgets=BUDGETS, workers=2, backend=BACKEND
+            CONFIG, seeds=SEEDS, budgets=BUDGETS, workers=WORKERS
         )
         assert parallel.to_json() == fig2b_serial.to_json()
-
-    def test_chunking_equivalence(self, fig2b_serial):
-        chunked = fig2b_seed_sweep(
-            CONFIG, seeds=SEEDS, budgets=BUDGETS,
-            workers=2, backend=BACKEND, chunk_size=1,
-        )
-        assert chunked.to_json() == fig2b_serial.to_json()
 
     def test_cold_warm_bit_identity(self, fig2b_serial, tmp_path):
         cold = fig2b_seed_sweep(
@@ -68,7 +57,7 @@ class TestFig2bSweep:
         fig2b_seed_sweep(CONFIG, seeds=SEEDS, budgets=BUDGETS, cache_dir=tmp_path)
         warm = fig2b_seed_sweep(
             CONFIG, seeds=SEEDS, budgets=BUDGETS,
-            cache_dir=tmp_path, workers=2, backend=BACKEND,
+            cache_dir=tmp_path, workers=WORKERS,
         )
         assert warm.to_json() == fig2b_serial.to_json()
         assert warm.cache_misses == 0
@@ -81,7 +70,7 @@ class TestFig2bSweep:
 class TestTable5Sweep:
     def test_backend_equivalence(self, table5_serial):
         parallel = table5_budget_sweep(
-            CONFIG, budgets=BUDGETS, top=5, workers=2, backend=BACKEND
+            CONFIG, budgets=BUDGETS, top=5, workers=WORKERS
         )
         assert parallel.to_json() == table5_serial.to_json()
 
@@ -106,9 +95,7 @@ class TestReplayMany:
     def test_backend_equivalence(self, setup):
         graph, brokers, schedules = setup
         serial = replay_many(graph, brokers, schedules)
-        parallel = replay_many(
-            graph, brokers, schedules, workers=2, backend=BACKEND
-        )
+        parallel = replay_many(graph, brokers, schedules, workers=WORKERS)
         assert json.dumps(serial.payload, sort_keys=True) == json.dumps(
             parallel.payload, sort_keys=True
         )

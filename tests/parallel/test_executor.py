@@ -1,5 +1,6 @@
-"""Unit tests for the backend-agnostic parallel executor."""
+"""Unit tests for the parallel executor: in the caller or a process pool."""
 
+import math
 import time
 
 import numpy as np
@@ -7,23 +8,28 @@ import pytest
 
 from repro.exceptions import ExperimentTimeoutError, ReproError
 from repro.parallel.executor import (
-    BACKENDS,
     ParallelResult,
     TaskFailure,
-    derive_task_seeds,
     orphaned_worker_count,
     parallel_map,
     run_with_timeout,
 )
 
+#: ``workers=1`` runs in the caller; more runs a process pool.
+WORKER_PATHS = pytest.mark.parametrize(
+    "workers", [1, 3], ids=["serial", "process"]
+)
 
-# Module-level workers so the process backend can pickle them.
+
+# Module-level workers so the process pool can pickle them.
 def _square(x):
     return x * x
 
 
-def _noisy(x, rng):
-    return x + float(rng.random())
+def _noisy(task):
+    """A seeded task: it carries its own seed, as every sweep cell does."""
+    x, seed = task
+    return x + float(np.random.default_rng(seed).random())
 
 
 def _fail_on_three(x):
@@ -38,29 +44,25 @@ def _sleep_then(x):
 
 
 class TestParallelMap:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_match_serial(self, backend):
+    @WORKER_PATHS
+    def test_backends_match_serial(self, workers):
         items = list(range(13))
-        expected = parallel_map(_square, items).values()
-        got = parallel_map(_square, items, backend=backend, workers=3).values()
-        assert got == expected == [x * x for x in items]
+        got = parallel_map(_square, items, workers=workers).values()
+        assert got == [x * x for x in items]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_seeded_backends_match_serial(self, backend):
-        items = list(range(9))
-        expected = parallel_map(_noisy, items, seed=42).values()
-        got = parallel_map(
-            _noisy, items, backend=backend, workers=3, seed=42
-        ).values()
+    @WORKER_PATHS
+    def test_seeded_backends_match_serial(self, workers):
+        items = [(x, 42 + x) for x in range(9)]
+        expected = [_noisy(task) for task in items]
+        got = parallel_map(_noisy, items, workers=workers).values()
         assert got == expected
 
     def test_chunking_does_not_change_results(self):
-        items = list(range(10))
-        baseline = parallel_map(_noisy, items, seed=7).values()
+        items = [(x, 7 + x) for x in range(10)]
+        baseline = parallel_map(_noisy, items).values()
         for chunk_size in (1, 3, 10):
             got = parallel_map(
-                _noisy, items, backend="thread", workers=2,
-                chunk_size=chunk_size, seed=7,
+                _noisy, items, workers=2, chunk_size=chunk_size
             ).values()
             assert got == baseline
 
@@ -69,18 +71,14 @@ class TestParallelMap:
         assert result.ok
         assert result.values() == []
 
-    def test_unknown_backend(self):
-        with pytest.raises(ReproError, match="unknown backend"):
-            parallel_map(_square, [1], backend="gpu")
-
     def test_bad_workers(self):
         with pytest.raises(ReproError, match="workers"):
-            parallel_map(_square, [1], backend="thread", workers=0)
+            parallel_map(_square, [1], workers=0)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_error_capture(self, backend):
+    @WORKER_PATHS
+    def test_error_capture(self, workers):
         result = parallel_map(
-            _fail_on_three, [1, 2, 3, 4], backend=backend, workers=2,
+            _fail_on_three, [1, 2, 3, 4], workers=workers,
             chunk_size=1, capture_errors=True,
         )
         assert not result.ok
@@ -116,28 +114,6 @@ class TestParallelMap:
         assert seen == ["x"]
 
 
-class TestDeriveTaskSeeds:
-    def test_deterministic(self):
-        a = derive_task_seeds(5, 4)
-        b = derive_task_seeds(5, 4)
-        streams_a = [np.random.default_rng(s).random() for s in a]
-        streams_b = [np.random.default_rng(s).random() for s in b]
-        assert streams_a == streams_b
-
-    def test_tasks_get_distinct_streams(self):
-        seeds = derive_task_seeds(0, 3)
-        draws = {np.random.default_rng(s).random() for s in seeds}
-        assert len(draws) == 3
-
-    def test_generator_seed(self):
-        rng = np.random.default_rng(11)
-        assert len(derive_task_seeds(rng, 2)) == 2
-
-    def test_negative_count(self):
-        with pytest.raises(ReproError):
-            derive_task_seeds(0, -1)
-
-
 class TestRunWithTimeout:
     def test_no_timeout_runs_inline(self):
         assert run_with_timeout(_square, (6,)) == 36
@@ -156,6 +132,13 @@ class TestRunWithTimeout:
     def test_invalid_timeout(self):
         with pytest.raises(ReproError, match="positive"):
             run_with_timeout(_square, (1,), timeout=0)
+
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_timeout_starts_no_worker(self, timeout):
+        before = orphaned_worker_count()
+        with pytest.raises(ReproError, match="finite and positive"):
+            run_with_timeout(_sleep_then, (0.5,), timeout=timeout)
+        assert orphaned_worker_count() <= before
 
     def test_timed_out_task_does_not_delay_next(self):
         """The old pooled implementation made task N+1 wait for a leaked

@@ -83,11 +83,11 @@ class TestRunGraphTasks:
         with pytest.raises(RuntimeError, match="not initialized"):
             sweeps.worker_graph()
 
-    @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
-    def test_workers_see_the_published_graph(self, tiny_internet, backend):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
+    def test_workers_see_the_published_graph(self, tiny_internet, workers):
         expected = int(tiny_internet.degrees().sum())
         result = sweeps.run_graph_tasks(
-            tiny_internet, _degree_sum, [0, 1, 2], backend=backend, workers=2
+            tiny_internet, _degree_sum, [0, 1, 2], workers=workers
         )
         assert result.values() == [expected] * 3
 
@@ -96,8 +96,7 @@ class TestRunGraphTasks:
             tiny_internet,
             _boom,
             [0],
-            backend="process",
-            workers=1,
+            workers=2,
             capture_errors=True,
         )
         assert not result.ok
@@ -108,7 +107,7 @@ class TestRunGraphTasks:
 
     def test_segments_are_unlinked_after_process_run(self, tiny_internet):
         result = sweeps.run_graph_tasks(
-            tiny_internet, _degree_sum, [0], backend="process", workers=1
+            tiny_internet, _degree_sum, [0], workers=2
         )
         assert result.ok
         # run_graph_tasks publishes via a context manager, so the segments

@@ -6,13 +6,14 @@ import pytest
 from repro.core.domination import is_dominating_path
 from repro.core.maxsg import maxsg
 from repro.exceptions import AlgorithmError
-from repro.graph.asgraph import ASGraph
+from repro.graph.asgraph import ASGraph, EdgeAttributes
 from repro.routing.qos import (
     LinkMetrics,
     qos_coverage,
     qos_shortest_path,
     synthesize_link_metrics,
 )
+from repro.types import LinkKind
 
 
 def line_with_metrics():
@@ -23,6 +24,18 @@ def line_with_metrics():
         bandwidth_gbps=np.array([100.0, 1.0, 100.0]),
     )
     return g, metrics
+
+
+def annotated_line():
+    """:func:`line_with_metrics` plus the same graph carrying those metrics
+    as its own edge attributes (bandwidth as capacity)."""
+    g, metrics = line_with_metrics()
+    annotated = g.with_edge_attrs(EdgeAttributes(
+        capacity_gbps=metrics.bandwidth_gbps,
+        latency_ms=metrics.latency_ms,
+        link_kind=np.full(g.num_edges, LinkKind.IXP_PORT, dtype=np.uint8),
+    ))
+    return g, metrics, annotated
 
 
 class TestLinkMetrics:
@@ -160,27 +173,33 @@ class TestLinkMetricsValidation:
             )
 
     def test_edge_attrs_adapter_round_trip(self):
-        from repro.graph.asgraph import EdgeAttributes
-        from repro.types import LinkKind
-
-        attrs = EdgeAttributes(
-            capacity_gbps=np.array([10.0, 20.0]),
-            latency_ms=np.array([1.0, 2.0]),
-            link_kind=np.full(2, int(LinkKind.IXP_PORT), dtype=np.uint8),
-        )
-        m = LinkMetrics.from_edge_attrs(attrs)
-        np.testing.assert_array_equal(m.bandwidth_gbps, attrs.capacity_gbps)
-        back = m.to_edge_attrs(link_kind=attrs.link_kind)
-        np.testing.assert_array_equal(back.capacity_gbps, attrs.capacity_gbps)
-        np.testing.assert_array_equal(back.link_kind, attrs.link_kind)
+        """A graph's own edge attributes answer exactly like the same
+        explicit metrics: latency as latency, capacity as bandwidth."""
+        g, m, annotated = annotated_line()
+        for floor in (0.0, 50.0):
+            explicit = qos_shortest_path(g, m, 0, 3, min_bandwidth_gbps=floor)
+            from_graph = qos_shortest_path(
+                annotated, None, 0, 3, min_bandwidth_gbps=floor
+            )
+            assert from_graph == explicit
+            for budget in (12.0, 40.0):
+                kwargs = dict(
+                    max_latency_ms=budget, min_bandwidth_gbps=floor,
+                    num_pairs=50, seed=0,
+                )
+                assert qos_coverage(annotated, None, None, **kwargs) == (
+                    qos_coverage(g, m, None, **kwargs)
+                )
 
     def test_metrics_none_reads_graph_attrs(self):
-        g, m = line_with_metrics()
-        annotated = g.with_edge_attrs(m.to_edge_attrs())
+        g, m, annotated = annotated_line()
         with_explicit = qos_shortest_path(g, m, 0, 3)
         from_graph = qos_shortest_path(annotated, None, 0, 3)
-        assert from_graph.path == with_explicit.path
+        assert from_graph.path == with_explicit.path == [0, 1, 2, 3]
         assert from_graph.latency_ms == with_explicit.latency_ms
+        assert qos_shortest_path(
+            annotated, None, 0, 3, min_bandwidth_gbps=50.0
+        ) is None
 
     def test_metrics_none_without_attrs_rejected(self):
         g, _ = line_with_metrics()

@@ -196,8 +196,7 @@ class TestSweepAndCache:
     def test_experiment_parallel_flags(self, tmp_path, capsys):
         code = main([
             "experiment", "table2", "--scale", "tiny", "--seed", "1",
-            "--workers", "2", "--backend", "thread",
-            "--cache-dir", str(tmp_path / "cache"),
+            "--workers", "2", "--cache-dir", str(tmp_path / "cache"),
         ])
         assert code == 0
         assert "Table 2" in capsys.readouterr().out
@@ -206,7 +205,7 @@ class TestSweepAndCache:
         code = main([
             "resilience", "--scale", "tiny", "--seed", "1", "--budget", "10",
             "--model", "independent", "--steps", "3", "--crash-prob", "0.4",
-            "--replicates", "2", "--workers", "2", "--backend", "thread",
+            "--replicates", "2", "--workers", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -494,6 +493,13 @@ class TestBadCountsRejectedAtParse:
         (["convergence", "--replicates", "0"], "--replicates"),
         (["admission", "--flows", "-5"], "--flows"),
         (["admission", "--pairs", "0"], "--pairs"),
+        (["experiment", "table1", "--workers", "0"], "--workers"),
+        (["sweep", "fig2b", "--workers", "0"], "--workers"),
+        (["resilience", "--workers", "0"], "--workers"),
+        (["experiment", "table1", "--timeout", "nan"], "--timeout"),
+        (["experiment", "table1", "--timeout", "inf"], "--timeout"),
+        (["experiment", "table1", "--timeout", "0"], "--timeout"),
+        (["experiment", "table1", "--retries", "-1"], "--retries"),
     ])
     def test_rejected(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -521,6 +527,24 @@ class TestKernelBackendFlagGone:
             main(argv)
         assert exc.value.code == 2
         assert "--kernel-backend" in capsys.readouterr().err
+
+
+class TestBackendFlagGone:
+    """The worker count alone picks the caller or a process pool, and
+    ``convergence`` runs no parallel executor or result cache."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["experiment", "table2", "--backend", "process"], "--backend"),
+        (["sweep", "fig2b", "--backend", "process"], "--backend"),
+        (["resilience", "--backend", "process"], "--backend"),
+        (["convergence", "--workers", "2"], "--workers"),
+        (["convergence", "--cache-dir", "d"], "--cache-dir"),
+    ])
+    def test_flag_is_an_argparse_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestIndexFlagGone:
