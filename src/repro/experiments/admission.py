@@ -53,7 +53,7 @@ from repro.exceptions import AlgorithmError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, register
 from repro.graph.multigraph import MultiGraph
-from repro.routing.qos import multigraph_qos_path
+from repro.routing.qos import MultiQoSRouter
 from repro.utils.rng import SeedLike, ensure_rng
 
 #: Guaranteed-bandwidth demand classes in Gbps.  Exact powers of two:
@@ -119,9 +119,13 @@ def build_path_pool(
     floor, so every pooled path can statically carry any demand class —
     contention at admission time is purely about residual capacity.
     Pairs with no compliant dominated path are skipped and resampled.
+    One :class:`~repro.routing.qos.MultiQoSRouter` answers every pair.
     """
     if num_pairs < 1:
         raise AlgorithmError(f"num_pairs must be >= 1, got {num_pairs}")
+    router = MultiQoSRouter(
+        multigraph, demand_gbps=demand_floor_gbps, engine=engine
+    )
     rng = ensure_rng(seed)
     n = multigraph.num_nodes
     indptr = [0]
@@ -135,9 +139,7 @@ def build_path_pool(
         s, t = int(rng.integers(n)), int(rng.integers(n))
         if s == t:
             continue
-        route = multigraph_qos_path(
-            multigraph, s, t, demand_gbps=demand_floor_gbps, engine=engine
-        )
+        route = router.path(s, t)
         if route is None:
             continue
         pairs.append((s, t))

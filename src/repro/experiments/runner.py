@@ -593,6 +593,14 @@ def run_experiment_batch(
                 )
 
     if workers > 1 and pending:
+        # Build the topology before the pool forks, so every worker
+        # inherits the cached graph instead of regenerating it.  A scale
+        # that cannot be built fails each experiment in its worker, as
+        # it does in the caller.
+        try:
+            config.graph()
+        except ReproError:
+            pass
         tasks = [
             (name, config, retries, timeout, backoff_base, backoff_cap, seed)
             for name in pending

@@ -327,20 +327,32 @@ class MultiGraph:
         )
 
     def best_instance_per_edge(
-        self, min_capacity_gbps: float = 0.0
+        self,
+        min_capacity_gbps: float = 0.0,
+        *,
+        capacity_gbps: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Min-latency instance of every simple edge above a capacity floor.
 
         Returns ``(instance_id, latency_ms)`` arrays indexed by simple
         edge; edges whose every parallel instance falls below the floor
-        get instance ``-1`` and latency ``inf``.  This is the
+        get instance ``-1`` and latency ``inf``.  The floor applies to
+        ``capacity_gbps`` (one entry per instance, e.g. a residual
+        vector), the instances' own capacity by default.  This is the
         "min-latency-over-max-capacity" selection rule the QoS router
         applies across parallel edges, vectorized over the whole edge
         set.
         """
+        if capacity_gbps is None:
+            capacity_gbps = self.attrs.capacity_gbps
+        elif len(capacity_gbps) != self.num_edge_instances:
+            raise GraphValidationError(
+                f"capacity array carries {len(capacity_gbps)} instances, "
+                f"multigraph has {self.num_edge_instances}"
+            )
         edge_of_instance, representative, _ = self._grouping
         n_simple = len(representative)
-        ok = self.attrs.capacity_gbps >= min_capacity_gbps
+        ok = capacity_gbps >= min_capacity_gbps
         latency = np.where(ok, self.attrs.latency_ms, np.inf)
         best_latency = np.full(n_simple, np.inf, dtype=np.float64)
         np.minimum.at(best_latency, edge_of_instance, latency)

@@ -18,8 +18,9 @@ from repro.routing.policies import (
 from repro.routing.qos import (
     LinkMetrics,
     MultiQoSPath,
+    MultiQoSRouter,
+    QoSGraph,
     QoSPath,
-    multigraph_qos_path,
     qos_coverage,
     qos_shortest_path,
     synthesize_link_metrics,
@@ -49,8 +50,9 @@ __all__ = [
     "LinkMetrics",
     "QoSPath",
     "MultiQoSPath",
+    "QoSGraph",
+    "MultiQoSRouter",
     "synthesize_link_metrics",
     "qos_shortest_path",
-    "multigraph_qos_path",
     "qos_coverage",
 ]

@@ -21,7 +21,7 @@ from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
 from repro.graph.csr import bfs_parents, build_csr
 from repro.graph.multigraph import MultiGraph
-from repro.routing.qos import MultiQoSPath, multigraph_qos_path
+from repro.routing.qos import MultiQoSPath, MultiQoSRouter
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -140,14 +140,12 @@ class BrokerRouter:
                 "capacity-aware routing needs a multigraph; build the "
                 "router with BrokerRouter.over_multigraph()"
             )
-        return multigraph_qos_path(
+        return MultiQoSRouter(
             self._multigraph,
-            source,
-            destination,
             demand_gbps=demand_gbps,
             engine=self._engine,
             residual_gbps=residual_gbps,
-        )
+        ).path(source, destination)
 
     def _init_from_engine(self, engine: DominationEngine) -> None:
         n = engine.num_nodes

@@ -8,9 +8,15 @@ bandwidth.  This module provides
   :class:`~repro.graph.asgraph.ASGraph`'s edge list, with a synthetic
   model (intra-continental IXP fabrics are fast; crossing the transit
   hierarchy costs more);
+* :class:`QoSGraph` — the filtered, weighted dominated graph, prepared
+  once as a SciPy CSR matrix and searched with
+  :func:`scipy.sparse.csgraph.dijkstra`;
 * :func:`qos_shortest_path` — minimum-latency path subject to a
-  bandwidth floor, restricted to B-dominated edges (Dijkstra on the
-  filtered dominated graph);
+  bandwidth floor, restricted to B-dominated edges (prepared graph,
+  SciPy Dijkstra);
+* :class:`MultiQoSRouter` — the same search over a multigraph's
+  simplified view, pinned to concrete parallel edge instances for one
+  bandwidth demand;
 * :func:`qos_coverage` — the fraction of pairs servable within a latency
   budget and bandwidth floor, the QoS analogue of l-hop connectivity.
 
@@ -22,17 +28,26 @@ broker set is the subtopology you can measure and control.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
+from repro.core.domination import broker_mask, dominated_edge_mask
 from repro.core.engine import DominationEngine
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
+from repro.graph.csr import build_multi_csr
 from repro.graph.multigraph import MultiGraph
 from repro.types import Relationship
 from repro.utils.rng import SeedLike, ensure_rng
+
+
+#: Distance entries one multi-source search in :func:`qos_coverage` may
+#: return (32 MB of float64): the sampled sources are searched in one
+#: call unless that would exceed it.
+_DISTANCES_PER_SEARCH = 1 << 22
 
 
 def _metric_array(values, what: str) -> np.ndarray:
@@ -175,91 +190,148 @@ class MultiQoSPath:
         return len(self.path) - 1
 
 
-def _build_weighted_adjacency(
-    graph: ASGraph,
-    latency: np.ndarray,
-    bandwidth: np.ndarray,
-    keep: np.ndarray,
-    brokers: list[int] | None,
-    engine: DominationEngine | None = None,
-) -> list[list[tuple[int, float, float, int]]]:
-    """Adjacency lists of (neighbor, latency, bandwidth, edge_id), filtered.
+class QoSGraph:
+    """The filtered, weighted dominated graph, prepared for many searches.
 
-    ``engine`` routes over a live (possibly degraded) domination state:
-    only alive base edges with an effective broker endpoint survive.
-    Engine extension edges carry no metrics and are not used.
+    Built once per (metrics, bandwidth floor, broker set or engine state):
+    ``keep`` masks the base edges that meet the floor, ``brokers``
+    further restricts them to ``B ⊙ A`` (at least one broker endpoint)
+    and ``engine`` to its live dominated base edges instead (extension
+    edges carry no metrics and are not used).  The kept edges become one
+    symmetric SciPy CSR matrix of latencies, with the base edge id of
+    every stored entry alongside; every query is then one
+    :func:`scipy.sparse.csgraph.dijkstra` call on it.
     """
-    n = graph.num_nodes
-    if engine is not None:
-        keep = keep & engine.dominated_base_edge_mask()
-    elif brokers is not None:
-        dominated = DominationEngine(
-            graph, dict.fromkeys(int(b) for b in brokers)
+
+    def __init__(
+        self,
+        graph: ASGraph,
+        latency_ms: np.ndarray,
+        bandwidth_gbps: np.ndarray,
+        keep: np.ndarray,
+        *,
+        brokers: list[int] | None = None,
+        engine: DominationEngine | None = None,
+    ) -> None:
+        if engine is not None:
+            keep = keep & engine.dominated_base_edge_mask()
+        elif brokers is not None:
+            keep = keep & dominated_edge_mask(graph, broker_mask(graph, brokers))
+        n = graph.num_nodes
+        ids = np.flatnonzero(keep)
+        self._adj = build_multi_csr(n, graph.edge_src[ids], graph.edge_dst[ids])
+        self._edge_ids = ids[self._adj.edge_ids]
+        latency = np.asarray(latency_ms, dtype=np.float64)[self._edge_ids]
+        self._matrix = sparse.csr_matrix(
+            (latency, self._adj.indices, self._adj.indptr), shape=(n, n)
         )
-        keep = keep & dominated.dominated_base_edge_mask()
-    adj: list[list[tuple[int, float, float, int]]] = [[] for _ in range(n)]
-    for i in np.flatnonzero(keep):
-        u, v = int(graph.edge_src[i]), int(graph.edge_dst[i])
-        lat, bw = float(latency[i]), float(bandwidth[i])
-        adj[u].append((v, lat, bw, int(i)))
-        adj[v].append((u, lat, bw, int(i)))
-    return adj
+        self._bandwidth = np.asarray(bandwidth_gbps, dtype=np.float64)
+
+    def path(self, source: int, target: int) -> QoSPath | None:
+        """Minimum-latency kept path, or ``None`` when there is none."""
+        n = self._adj.num_vertices
+        # SciPy would silently wrap a negative index to the last vertex.
+        if not (0 <= source < n and 0 <= target < n):
+            raise AlgorithmError("source/target out of range")
+        if source == target:
+            return QoSPath([source], 0.0, float("inf"))
+        dist, pred = dijkstra(
+            self._matrix, directed=True, indices=source,
+            return_predecessors=True,
+        )
+        if not np.isfinite(dist[target]):
+            return None
+        path = [target]
+        while path[-1] != source:
+            path.append(int(pred[path[-1]]))
+        path.reverse()
+        edge_ids = []
+        for u, v in zip(path, path[1:]):
+            slot = self._adj.indptr[u] + np.flatnonzero(self._adj.neighbors(u) == v)[0]
+            edge_ids.append(int(self._edge_ids[slot]))
+        return QoSPath(
+            path=path,
+            latency_ms=float(dist[target]),
+            bottleneck_gbps=float(self._bandwidth[edge_ids].min()),
+            edge_ids=tuple(edge_ids),
+        )
+
+    def within(self, sources: np.ndarray, max_latency_ms: float) -> np.ndarray:
+        """Latency from each source to every vertex, one row per source.
+
+        Vertices farther than ``max_latency_ms`` (the limit itself is
+        kept) or unreachable read ``inf``.
+        """
+        sources = np.asarray(sources, dtype=np.int64)
+        n = self._adj.num_vertices
+        if len(sources) and (sources.min() < 0 or sources.max() >= n):
+            raise AlgorithmError("source out of range")
+        return dijkstra(
+            self._matrix, directed=True, indices=sources, limit=max_latency_ms
+        )
 
 
-def _dijkstra_qos(
-    graph: ASGraph,
-    latency: np.ndarray,
-    bandwidth: np.ndarray,
-    keep: np.ndarray,
-    source: int,
-    target: int,
-    brokers: list[int] | None,
-    engine: DominationEngine | None,
-) -> QoSPath | None:
-    n = graph.num_nodes
-    if not (0 <= source < n and 0 <= target < n):
-        raise AlgorithmError("source/target out of range")
-    if source == target:
-        return QoSPath([source], 0.0, float("inf"))
-    adj = _build_weighted_adjacency(
-        graph, latency, bandwidth, keep, brokers, engine=engine
-    )
-    dist = np.full(n, np.inf)
-    parent = np.full(n, -1, dtype=np.int64)
-    parent_edge = np.full(n, -1, dtype=np.int64)
-    bottleneck = np.zeros(n)
-    dist[source] = 0.0
-    bottleneck[source] = float("inf")
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        if u == target:
-            break
-        for v, lat, bw, eid in adj[u]:
-            nd = d + lat
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                parent_edge[v] = eid
-                bottleneck[v] = min(bottleneck[u], bw)
-                heapq.heappush(heap, (nd, v))
-    if not np.isfinite(dist[target]):
-        return None
-    path = [target]
-    edge_ids: list[int] = []
-    while path[-1] != source:
-        edge_ids.append(int(parent_edge[path[-1]]))
-        path.append(int(parent[path[-1]]))
-    path.reverse()
-    edge_ids.reverse()
-    return QoSPath(
-        path=path,
-        latency_ms=float(dist[target]),
-        bottleneck_gbps=float(bottleneck[target]),
-        edge_ids=tuple(edge_ids),
-    )
+class MultiQoSRouter:
+    """Min-latency routing over a multigraph for one bandwidth demand.
+
+    Prepared once per (demand, capacity vector, broker set or engine
+    state) and then asked any number of pairs.  For every bundle of
+    parallel instances, the instance actually used is the one
+    :meth:`~repro.graph.multigraph.MultiGraph.best_instance_per_edge`
+    picks: the minimum-latency instance among those whose capacity (or,
+    when ``residual_gbps`` is given, whose *residual* capacity) meets
+    ``demand_gbps``.  Bundles with no qualifying instance drop out of the
+    search, which runs on the simplified view — pass ``engine`` (built
+    via ``DominationEngine.from_multigraph``) to restrict it to the live
+    dominated subtopology.
+    """
+
+    def __init__(
+        self,
+        multigraph: MultiGraph,
+        *,
+        demand_gbps: float = 0.0,
+        brokers: list[int] | None = None,
+        engine: DominationEngine | None = None,
+        residual_gbps: np.ndarray | None = None,
+    ) -> None:
+        capacity = (
+            multigraph.attrs.capacity_gbps
+            if residual_gbps is None
+            else np.asarray(residual_gbps, dtype=np.float64)
+        )
+        best_instance, best_latency = multigraph.best_instance_per_edge(
+            demand_gbps, capacity_gbps=capacity
+        )
+        if engine is None:
+            graph = multigraph.simplify(annotate=False).graph
+        elif engine.graph.num_edges == len(best_instance):
+            graph = engine.graph
+        else:
+            raise AlgorithmError(
+                "engine must run over the multigraph's simplified view"
+            )
+        keep = best_instance >= 0
+        bandwidth = np.zeros(len(best_instance), dtype=np.float64)
+        bandwidth[keep] = capacity[best_instance[keep]]
+        self._best_instance = best_instance
+        self._graph = QoSGraph(
+            graph, best_latency, bandwidth, keep, brokers=brokers, engine=engine
+        )
+
+    def path(self, source: int, target: int) -> MultiQoSPath | None:
+        """Min-latency route pinned to instances, or ``None``."""
+        route = self._graph.path(source, target)
+        if route is None:
+            return None
+        return MultiQoSPath(
+            path=route.path,
+            instance_ids=tuple(
+                int(self._best_instance[e]) for e in route.edge_ids
+            ),
+            latency_ms=route.latency_ms,
+            bottleneck_gbps=route.bottleneck_gbps,
+        )
 
 
 def qos_shortest_path(
@@ -274,80 +346,21 @@ def qos_shortest_path(
 ) -> QoSPath | None:
     """Minimum-latency (optionally B-dominated) path above a bandwidth floor.
 
-    Classic Dijkstra over the filtered adjacency; returns ``None`` when no
-    compliant path exists.  ``brokers=None`` searches the full topology —
-    the baseline an SLA negotiator compares the brokered offer against.
-    Passing ``engine`` routes over its live (possibly degraded) state.
-    ``metrics=None`` reads the graph's own edge attributes.
+    Prepares a :class:`QoSGraph` and searches it once; returns ``None``
+    when no compliant path exists.  ``brokers=None`` searches the full
+    topology — the baseline an SLA negotiator compares the brokered offer
+    against.  Passing ``engine`` routes over its live (possibly degraded)
+    state.  ``metrics=None`` reads the graph's own edge attributes.
     """
     metrics = _resolve_metrics(graph, metrics)
-    keep = metrics.bandwidth_gbps >= min_bandwidth_gbps
-    return _dijkstra_qos(
+    return QoSGraph(
         graph,
         metrics.latency_ms,
         metrics.bandwidth_gbps,
-        keep,
-        source,
-        target,
-        brokers,
-        engine,
-    )
-
-
-def multigraph_qos_path(
-    multigraph: MultiGraph,
-    source: int,
-    target: int,
-    *,
-    demand_gbps: float = 0.0,
-    brokers: list[int] | None = None,
-    engine: DominationEngine | None = None,
-    residual_gbps: np.ndarray | None = None,
-) -> MultiQoSPath | None:
-    """Min-latency path over a multigraph for a bandwidth demand.
-
-    For every bundle of parallel instances, the instance actually used is
-    the minimum-latency one among those whose capacity (or, when
-    ``residual_gbps`` is given, whose *residual* capacity) meets
-    ``demand_gbps``; bundles with no qualifying instance drop out of the
-    search entirely.  The search itself runs on the simplified view —
-    pass ``engine`` (built via ``DominationEngine.from_multigraph``) to
-    restrict to the live dominated subtopology.
-    """
-    capacity = (
-        multigraph.attrs.capacity_gbps if residual_gbps is None else residual_gbps
-    )
-    if len(capacity) != multigraph.num_edge_instances:
-        raise AlgorithmError(
-            f"residual array carries {len(capacity)} instances, "
-            f"multigraph has {multigraph.num_edge_instances}"
-        )
-    view = multigraph.simplify(annotate=False)
-    edge_of_instance = view.edge_of_instance
-    n_simple = view.graph.num_edges
-    ok_inst = capacity >= demand_gbps
-    inst_latency = np.where(ok_inst, multigraph.attrs.latency_ms, np.inf)
-    best_latency = np.full(n_simple, np.inf, dtype=np.float64)
-    np.minimum.at(best_latency, edge_of_instance, inst_latency)
-    achieves = inst_latency == best_latency[edge_of_instance]
-    best_instance = np.full(n_simple, np.iinfo(np.int64).max, dtype=np.int64)
-    ids = np.arange(multigraph.num_edge_instances, dtype=np.int64)
-    np.minimum.at(best_instance, edge_of_instance[achieves], ids[achieves])
-    keep = np.isfinite(best_latency)
-    best_instance[~keep] = -1
-    bandwidth = np.where(keep, capacity[np.maximum(best_instance, 0)], 0.0)
-    latency = np.where(keep, best_latency, 1.0)
-    result = _dijkstra_qos(
-        view.graph, latency, bandwidth, keep, source, target, brokers, engine
-    )
-    if result is None:
-        return None
-    return MultiQoSPath(
-        path=result.path,
-        instance_ids=tuple(int(best_instance[e]) for e in result.edge_ids),
-        latency_ms=result.latency_ms,
-        bottleneck_gbps=result.bottleneck_gbps,
-    )
+        metrics.bandwidth_gbps >= min_bandwidth_gbps,
+        brokers=brokers,
+        engine=engine,
+    ).path(source, target)
 
 
 def qos_coverage(
@@ -366,45 +379,36 @@ def qos_coverage(
     The QoS analogue of l-hop connectivity: a pair counts when a
     (B-dominated) path exists with end-to-end latency ``<= max_latency_ms``
     whose every link offers ``>= min_bandwidth_gbps``.  ``metrics=None``
-    reads the graph's own edge attributes.
+    reads the graph's own edge attributes.  One multi-source search
+    answers every sampled source.
     """
-    if max_latency_ms <= 0:
-        raise AlgorithmError("max_latency_ms must be positive")
+    if not max_latency_ms > 0:
+        raise AlgorithmError(
+            f"max_latency_ms must be positive, got {max_latency_ms}"
+        )
+    if num_pairs < 1:
+        raise AlgorithmError(f"num_pairs must be >= 1, got {num_pairs}")
     rng = ensure_rng(seed)
     n = graph.num_nodes
     metrics = _resolve_metrics(graph, metrics)
-    adj = _build_weighted_adjacency(
+    qos = QoSGraph(
         graph,
         metrics.latency_ms,
         metrics.bandwidth_gbps,
         metrics.bandwidth_gbps >= min_bandwidth_gbps,
-        brokers,
+        brokers=brokers,
         engine=engine,
     )
-    served = 0
-    # One Dijkstra per sampled source, reused for several targets.
     sources = rng.integers(0, n, size=max(num_pairs // 8, 1))
     targets_per_source = max(num_pairs // len(sources), 1)
+    block = max(1, _DISTANCES_PER_SEARCH // max(n, 1))
+    served = 0
     total = 0
-    for s in sources:
-        s = int(s)
-        dist = np.full(n, np.inf)
-        dist[s] = 0.0
-        heap = [(0.0, s)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u] or d > max_latency_ms:
-                continue
-            for v, lat, _bw, _eid in adj[u]:
-                nd = d + lat
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        for t in rng.integers(0, n, size=targets_per_source):
-            t = int(t)
-            if t == s:
-                continue
-            total += 1
-            if dist[t] <= max_latency_ms:
-                served += 1
+    for start in range(0, len(sources), block):
+        chunk = sources[start:start + block]
+        for s, row in zip(chunk, qos.within(chunk, max_latency_ms)):
+            targets = rng.integers(0, n, size=targets_per_source)
+            targets = targets[targets != s]
+            total += len(targets)
+            served += int(np.count_nonzero(row[targets] <= max_latency_ms))
     return served / total if total else 0.0

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.engine import DominationEngine
 from repro.core.greedy import greedy_max_coverage
+from repro.datasets.loader import MULTIGRAPH_SEED_SALT
+from repro.datasets.synthetic_internet import expand_internet_multigraph
 from repro.exceptions import AlgorithmError
 from repro.experiments.admission import (
     DEMAND_CLASSES,
@@ -18,6 +20,7 @@ from repro.experiments.admission import (
 from repro.experiments.config import ExperimentConfig
 from repro.graph.generators import parallel_multigraph
 from tests import fixtures
+from tests.oracles import qos as qos_reference
 from tests.oracles.admission import admit_stream_reference
 
 
@@ -123,6 +126,25 @@ class TestPoolAndFlows:
         b = build_path_pool(mg, engine, num_pairs=20, seed=5)
         np.testing.assert_array_equal(a.instances, b.instances)
         np.testing.assert_array_equal(a.pairs, b.pairs)
+
+    def test_benchmark_pool_equals_heap_reference(self):
+        """The admission benchmark's own pool (tiny, seed 1, 75 pairs,
+        pool seed 2) is the pool the per-pair heap search builds."""
+        graph = fixtures.internet("tiny", 1)
+        mg = expand_internet_multigraph(graph, seed=1 + MULTIGRAPH_SEED_SALT)
+        view = mg.simplify()
+        budget = max(1, round(0.019 * view.graph.num_nodes))
+        brokers = greedy_max_coverage(view.graph, budget)
+        engine = DominationEngine(view.graph, dict.fromkeys(brokers))
+        pool = build_path_pool(mg, engine, num_pairs=75, seed=2)
+        expected = qos_reference.build_path_pool(
+            mg, engine, num_pairs=75, seed=2
+        )
+        assert pool.num_paths == 75
+        for field in ("indptr", "instances", "pairs", "latencies"):
+            np.testing.assert_array_equal(
+                getattr(pool, field), getattr(expected, field)
+            )
 
     def test_flows_deterministic_and_classed(self):
         _, pool = tiny_pool()

@@ -452,6 +452,25 @@ class TestLedgerIntegration:
         for record in (serial["fig3"], pooled["fig3"]):
             assert not any(k.startswith("kernel.maxsg.") for k in record)
 
+    def test_pooled_batch_builds_the_graph_once(self, tmp_path):
+        """The parent builds the topology before the pool forks, so the
+        workers inherit it: one build across the parent and both records."""
+        from repro.experiments.config import _cached_graph
+        from repro.obs.ledger import Ledger
+        from repro.obs.metrics import iter_nonzero_counters
+
+        def builds() -> int:
+            return dict(iter_nonzero_counters()).get("graph.build.calls", 0)
+
+        _cached_graph.cache_clear()
+        before = builds()
+        path = tmp_path / "p.jsonl"
+        run_experiment_batch(["table1", "fig3"], CONFIG, workers=2, ledger=path)
+        records = Ledger(path).records()
+        assert len(records) == 2
+        in_records = sum(r.counters.get("graph.build.calls", 0) for r in records)
+        assert builds() - before + in_records == 1
+
     def test_coverage_flattening(self):
         from repro.experiments.runner import _coverage_from_paper_values
 

@@ -167,6 +167,22 @@ class TestBestInstance:
         inst, _ = mg.best_instance_per_edge()
         assert inst[0] == 0
 
+    def test_residual_capacity_floor(self):
+        mg = triangle_with_parallels()
+        # Floor 25 against a residual vector instead of the instances'
+        # own capacity: instance 3 is drained, instance 4 has room.
+        residual = mg.attrs.capacity_gbps.copy()
+        residual[3] = 10.0
+        residual[4] = 25.0
+        inst, lat = mg.best_instance_per_edge(
+            min_capacity_gbps=25.0, capacity_gbps=residual
+        )
+        np.testing.assert_array_equal(inst, [-1, 1, 4])
+        assert lat[0] == np.inf
+        np.testing.assert_allclose(lat[1:], [4.0, 2.0])
+        with pytest.raises(GraphValidationError):
+            mg.best_instance_per_edge(capacity_gbps=residual[:-1])
+
 
 class TestDigest:
     def test_distinct_from_simplified_graph(self):

@@ -106,9 +106,12 @@ class TestQoSShortestPath:
             assert dom.latency_ms >= free.latency_ms - 1e-9
 
     def test_out_of_range(self):
+        """SciPy would wrap a source of -1 to the last vertex; the guard
+        in front of it must not."""
         g, m = line_with_metrics()
-        with pytest.raises(AlgorithmError):
-            qos_shortest_path(g, m, 0, 99)
+        for source, target in ((0, 99), (-1, 3)):
+            with pytest.raises(AlgorithmError):
+                qos_shortest_path(g, m, source, target)
 
 
 class TestQoSCoverage:
@@ -133,6 +136,36 @@ class TestQoSCoverage:
         m = synthesize_link_metrics(tiny_internet, seed=0)
         with pytest.raises(AlgorithmError):
             qos_coverage(tiny_internet, m, None, max_latency_ms=0.0)
+
+    def test_nan_budget_rejected(self):
+        g, m = line_with_metrics()
+        with pytest.raises(AlgorithmError):
+            qos_coverage(g, m, None, max_latency_ms=float("nan"))
+
+    def test_infinite_budget_allowed(self):
+        g, m = line_with_metrics()
+        cov = qos_coverage(
+            g, m, None, max_latency_ms=float("inf"), num_pairs=50, seed=0
+        )
+        assert cov == 1.0
+
+    @pytest.mark.parametrize("num_pairs", [0, -5])
+    def test_num_pairs_below_one_rejected(self, num_pairs):
+        g, m = line_with_metrics()
+        with pytest.raises(AlgorithmError):
+            qos_coverage(
+                g, m, None, max_latency_ms=100.0, num_pairs=num_pairs
+            )
+
+    def test_budget_is_inclusive(self):
+        """A pair exactly at the latency budget counts as served."""
+        g = ASGraph.from_edges(2, [(0, 1)])
+        m = LinkMetrics(latency_ms=[10.0], bandwidth_gbps=[1.0])
+        kwargs = dict(num_pairs=16, seed=0)
+        assert qos_coverage(g, m, None, max_latency_ms=10.0, **kwargs) == 1.0
+        assert qos_coverage(
+            g, m, None, max_latency_ms=np.nextafter(10.0, 0.0), **kwargs
+        ) == 0.0
 
 
 class TestLinkMetricsValidation:
