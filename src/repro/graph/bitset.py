@@ -56,6 +56,7 @@ def bitset_hop_reach(
     *,
     batch_size: int = 512,
     aggregate: bool = False,
+    states: int = 1,
 ) -> np.ndarray:
     """Count vertices reachable within ``1..max_hops`` hops of each source.
 
@@ -73,10 +74,22 @@ def bitset_hop_reach(
     per-source bit unpacking entirely.  That is the fast path the
     connectivity curve uses: its fractions only ever divide the summed
     counts.
+
+    ``states > 1`` runs the BFS on a product graph of (vertex, state):
+    ``matrix`` is ``(states * n, states * n)``, vertex ``v`` in state
+    ``s`` is id ``s * n + v``, and ``sources`` are product ids.  Each
+    hop's new bits are folded onto the ``n`` base vertices, so a vertex
+    counts once, when any state first reaches it, and a source's own
+    vertex never counts.  The routing policies run this way.
     """
     if max_hops < 1:
         raise ValueError(f"max_hops must be >= 1, got {max_hops}")
+    if states < 1 or matrix.shape[0] % states:
+        raise ValueError(
+            f"states={states} does not divide the matrix shape {matrix.shape}"
+        )
     n = matrix.shape[0]
+    base = n // states
     sources = np.asarray(sources, dtype=np.int64)
     _metrics.add_counter("kernel.batched_bfs.runs")
     _metrics.add_counter("kernel.batched_bfs.sources", len(sources))
@@ -104,8 +117,16 @@ def bitset_hop_reach(
         # visited[w, v]: bit j set <=> source (w * 64 + j) has reached v.
         visited = np.zeros((words, n), dtype=np.uint64)
         cols = np.arange(b)
-        visited[cols >> 6, batch] |= _WORD_ONE << (cols & 63).astype(np.uint64)
+        source_bits = _WORD_ONE << (cols & 63).astype(np.uint64)
+        # ``ufunc.at``, not ``a[idx] |= bits``: the buffered form keeps
+        # one bit per repeated (word, vertex), and two sources may share
+        # a vertex (a repeated source, or one vertex in two states).
+        np.bitwise_or.at(visited, (cols >> 6, batch), source_bits)
         frontier = visited.copy()
+        if states > 1:
+            # seen[w, v]: bit j set <=> source j has reached base vertex v.
+            seen = np.zeros((words, base), dtype=np.uint64)
+            np.bitwise_or.at(seen, (cols >> 6, batch % base), source_bits)
         contrib = np.empty((words, n), dtype=np.uint64)
         gathered = np.zeros(m + 1, dtype=np.uint64)
         cur = 0  # batch total of per-source reach counts so far
@@ -129,12 +150,19 @@ def bitset_hop_reach(
                 contrib[:] = _WORD_ZERO
             new = contrib & ~visited
             visited |= new
+            reached = new
+            if states > 1:
+                reached = np.bitwise_or.reduce(
+                    new.reshape(words, states, base), axis=1
+                )
+                reached &= ~seen
+                seen |= reached
             if aggregate:
-                cur += popcount_blocks(new)
+                cur += popcount_blocks(reached)
                 totals[hop] += cur
             else:
                 for w in range(words):
-                    row = new[w]
+                    row = reached[w]
                     nz = np.flatnonzero(row)
                     if len(nz):
                         bits = np.unpackbits(

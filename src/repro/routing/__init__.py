@@ -25,11 +25,7 @@ from repro.routing.qos import (
     qos_shortest_path,
     synthesize_link_metrics,
 )
-from repro.routing.valley_free import (
-    is_valley_free,
-    valley_free_reachable,
-    valley_free_shortest_path,
-)
+from repro.routing.valley_free import is_valley_free
 
 __all__ = [
     "BGPSimulator",
@@ -45,8 +41,6 @@ __all__ = [
     "inter_broker_edge_mask",
     "policy_connectivity_curve",
     "is_valley_free",
-    "valley_free_reachable",
-    "valley_free_shortest_path",
     "LinkMetrics",
     "QoSPath",
     "MultiQoSPath",

@@ -17,9 +17,12 @@ the standard Gao-Rexford *valley-free* semantics:
   links usable in any direction and any path position without affecting
   the valley-free state.
 
-Reachability under these semantics is a BFS on a 3-state product graph
-(UP, after-peer, DOWN), vectorized as one sparse-matrix product per hop
-type and level, so policy evaluation scales like the rest of the engine.
+Reachability under these semantics is a BFS on a product graph of
+(vertex, state): UP and DOWN for BUSINESS, plus an absorbing TERM for
+STRICT_BUSINESS, and SRC → INT → TERM for DIRECTIONAL.  The product graph
+is one sparse block matrix, and the bit-parallel kernel
+(:func:`repro.graph.bitset.bitset_hop_reach` with ``states``) searches
+it, so policy curves run on the same engine as every other curve.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.core.connectivity import ConnectivityCurve
+from repro.core.connectivity import ConnectivityCurve, connectivity_curve
 from repro.core.domination import broker_mask, dominated_edge_mask
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
+from repro.graph.bitset import bitset_hop_reach
 from repro.types import Relationship
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -129,126 +133,44 @@ def build_policy_matrices(
     )
 
 
-def _valley_free_reach_counts(
-    mats: PolicyMatrices,
-    sources: np.ndarray,
-    max_hops: int,
-    *,
-    peer_transit: bool = True,
-    batch_size: int = 128,
-) -> np.ndarray:
-    """Vertices reachable within ``1..max_hops`` policy-compliant hops.
+def _product_matrix(
+    mats: PolicyMatrices, policy: DirectionalPolicy
+) -> tuple[sparse.csr_matrix, int]:
+    """One sparse block matrix over (state, vertex) for ``policy``'s BFS.
 
-    Product-graph BFS over states UP (still climbing), DOWN (crossed the
-    peak) and TERM (absorbing).  Transitions per hop:
+    Block ``[i][j]`` holds the hops that move from state ``i`` to state
+    ``j``; the walk starts in state 0.
 
-    * UP   --up-->        UP
-    * UP   --peer-->      DOWN when ``peer_transit`` (classic valley-free:
-      the single peer hop is the peak), else TERM (strict: a peer link
-      only delivers to the peer itself, and only traffic still inside the
-      sender's cone — i.e. from the UP state — may use it, making the
-      strict regime a subset of classic valley-free)
-    * any  --down-->      DOWN
-    * UP/DOWN --coalition--> same state
-    * TERM: no outgoing hops
-
-    Returns shape ``(len(sources), max_hops)`` cumulative reach counts
-    excluding the source itself.
+    * BUSINESS (UP, DOWN): UP→UP climbs or crosses a coalition edge; the
+      single peer hop (or any descent) is the peak, UP→DOWN; DOWN→DOWN
+      descends or crosses a coalition edge.
+    * STRICT_BUSINESS (UP, DOWN, TERM): as BUSINESS, but a peer hop only
+      delivers to the peer itself, UP→TERM, and TERM has no hops.
+    * DIRECTIONAL (SRC, INT, TERM): the source's first hop may use any
+      dominated edge, SRC→INT; interior hops only climb or cross coalition
+      edges, INT→INT; the last hop may use any edge again, INT→TERM.
     """
-    n = mats.up.shape[0]
-    up_t = mats.up.T.tocsr()
-    down_t = mats.down.T.tocsr()
-    peer_t = mats.peer.T.tocsr()
-    coal_t = mats.coalition.T.tocsr()
-    has_coal = coal_t.nnz > 0
-    counts = np.zeros((len(sources), max_hops), dtype=np.int64)
-    for start in range(0, len(sources), batch_size):
-        batch = sources[start : start + batch_size]
-        b = len(batch)
-        vis_up = np.zeros((n, b), dtype=bool)
-        vis_dn = np.zeros((n, b), dtype=bool)
-        vis_tm = np.zeros((n, b), dtype=bool)
-        vis_up[batch, np.arange(b)] = True
-        f_up, f_dn = vis_up.copy(), np.zeros((n, b), dtype=bool)
-        for hop in range(max_hops):
-            if not (f_up.any() or f_dn.any()):
-                counts[start : start + b, hop:] = counts[
-                    start : start + b, hop - 1 : hop
-                ]
-                break
-            fu = f_up.astype(np.float32)
-            fd = f_dn.astype(np.float32)
-            new_up = (up_t @ fu) > 0
-            new_dn = (down_t @ (fu + fd)) > 0
-            new_tm = np.zeros((n, b), dtype=bool)
-            if peer_transit:
-                new_dn |= (peer_t @ fu) > 0
-            else:
-                new_tm = (peer_t @ fu) > 0
-            if has_coal:
-                new_up |= (coal_t @ fu) > 0
-                new_dn |= (coal_t @ fd) > 0
-            f_up = new_up & ~vis_up
-            f_dn = new_dn & ~vis_dn
-            vis_tm |= new_tm
-            vis_up |= f_up
-            vis_dn |= f_dn
-            counts[start : start + b, hop] = (
-                (vis_up | vis_dn | vis_tm).sum(axis=0) - 1
-            )
-            # The source starts as visited in UP; its own column is always
-            # true, hence the "- 1".
-    return counts
-
-
-def _brokered_directional_reach_counts(
-    mats: PolicyMatrices,
-    sources: np.ndarray,
-    max_hops: int,
-    *,
-    batch_size: int = 128,
-) -> np.ndarray:
-    """Reach counts under the DIRECTIONAL (SLA-endpoint) policy.
-
-    Position-aware BFS: hop 1 may use *any* dominated edge (the source's
-    first-hop SLA); interior hops may only climb customer→provider links
-    or cross coalition edges; the final hop may again use any dominated
-    edge (the destination is billed by the coalition).  A vertex counts as
-    reached within ``l`` hops when it is interior-occupiable within ``l``
-    hops or adjacent to a vertex interior-occupiable within ``l − 1``.
-    """
-    n = mats.up.shape[0]
-    int_t = (mats.up + mats.coalition).T.tocsr()
-    any_mat = mats.up + mats.down + mats.peer + mats.coalition
-    any_t = any_mat.T.tocsr()
-    counts = np.zeros((len(sources), max_hops), dtype=np.int64)
-    for start in range(0, len(sources), batch_size):
-        batch = sources[start : start + batch_size]
-        b = len(batch)
-        vis_int = np.zeros((n, b), dtype=bool)
-        vis_all = np.zeros((n, b), dtype=bool)
-        vis_int[batch, np.arange(b)] = True
-        vis_all |= vis_int
-        f_int = vis_int.copy()
-        for hop in range(max_hops):
-            if not f_int.any():
-                counts[start : start + b, hop:] = counts[
-                    start : start + b, hop - 1 : hop
-                ]
-                break
-            fi = f_int.astype(np.float32)
-            reached_any = (any_t @ fi) > 0  # terminal (or first) hop
-            if hop == 0:
-                # The first hop grants interior occupancy anywhere the
-                # source can hand traffic to under its own SLA.
-                new_int = reached_any & ~vis_int
-            else:
-                new_int = ((int_t @ fi) > 0) & ~vis_int
-            vis_all |= reached_any
-            vis_int |= new_int
-            counts[start : start + b, hop] = (vis_all | vis_int).sum(axis=0) - 1
-            f_int = new_int
-    return counts
+    up, down, peer, coal = mats.up, mats.down, mats.peer, mats.coalition
+    # ``bmat`` infers each block row's and column's size from its blocks,
+    # so a state nothing enters (SRC) or leaves (TERM) needs an explicit
+    # all-zero block.
+    zero = sparse.csr_matrix(up.shape, dtype=up.dtype)
+    if policy is DirectionalPolicy.BUSINESS:
+        blocks = [[up + coal, down + peer], [None, down + coal]]
+    elif policy is DirectionalPolicy.STRICT_BUSINESS:
+        blocks = [
+            [up + coal, down, peer],
+            [None, down + coal, None],
+            [None, None, zero],
+        ]
+    else:
+        anyhop = up + down + peer + coal
+        blocks = [
+            [zero, anyhop, None],
+            [None, up + coal, anyhop],
+            [None, None, zero],
+        ]
+    return sparse.bmat(blocks, format="csr"), len(blocks)
 
 
 def coalition_edges(
@@ -296,13 +218,23 @@ def policy_connectivity_curve(
     ``max_hops`` — directed/policy reachability has no cheap component
     decomposition, and the curves flatten well before 10 hops on
     (0.99, 4)-graphs.
+
+    Every policy runs as one call of the bit-parallel kernel on the
+    policy's (state, vertex) product graph.
     """
     n = graph.num_nodes
     if n < 2:
         raise AlgorithmError("connectivity requires at least two vertices")
+    if max_hops < 1:
+        raise AlgorithmError(f"max_hops must be >= 1, got {max_hops}")
+    if num_sources is not None and num_sources < 1:
+        raise AlgorithmError(f"num_sources must be >= 1, got {num_sources}")
+    if not 0.0 <= bidirectional_fraction <= 1.0:
+        raise AlgorithmError(
+            "bidirectional_fraction must be in [0, 1], got "
+            f"{bidirectional_fraction}"
+        )
     if policy is DirectionalPolicy.FREE:
-        from repro.core.connectivity import connectivity_curve
-
         return connectivity_curve(
             graph, brokers, max_hops=max_hops, num_sources=num_sources, seed=seed
         )
@@ -323,16 +255,12 @@ def policy_connectivity_curve(
         rng = ensure_rng(seed)
         sources = rng.choice(n, size=num_sources, replace=False)
         exact = False
-    if policy is DirectionalPolicy.DIRECTIONAL:
-        counts = _brokered_directional_reach_counts(mats, sources, max_hops)
-    else:
-        counts = _valley_free_reach_counts(
-            mats,
-            sources,
-            max_hops,
-            peer_transit=(policy is DirectionalPolicy.BUSINESS),
-        )
-    fractions = counts.sum(axis=0) / (len(sources) * (n - 1))
+    product, states = _product_matrix(mats, policy)
+    # State 0 occupies product ids 0..n-1, so base ids are start ids.
+    totals = bitset_hop_reach(
+        product, sources, max_hops, aggregate=True, states=states
+    )
+    fractions = totals / (len(sources) * (n - 1))
     return ConnectivityCurve(
         fractions=fractions.astype(np.float64),
         saturated=float(fractions[-1]),

@@ -75,6 +75,13 @@ def _metric_array(values, what: str) -> np.ndarray:
     return arr
 
 
+def _check_floor(value: float, what: str) -> None:
+    """Reject a NaN bandwidth floor: every ``>=`` against it is false, so
+    it would silently drop every link."""
+    if np.isnan(value):
+        raise AlgorithmError(f"{what} must not be NaN")
+
+
 @dataclass(frozen=True)
 class LinkMetrics:
     """Per-undirected-edge latency (ms) and bandwidth (Gbps) annotations.
@@ -295,6 +302,7 @@ class MultiQoSRouter:
         engine: DominationEngine | None = None,
         residual_gbps: np.ndarray | None = None,
     ) -> None:
+        _check_floor(demand_gbps, "demand_gbps")
         capacity = (
             multigraph.attrs.capacity_gbps
             if residual_gbps is None
@@ -352,6 +360,7 @@ def qos_shortest_path(
     against.  Passing ``engine`` routes over its live (possibly degraded)
     state.  ``metrics=None`` reads the graph's own edge attributes.
     """
+    _check_floor(min_bandwidth_gbps, "min_bandwidth_gbps")
     metrics = _resolve_metrics(graph, metrics)
     return QoSGraph(
         graph,
@@ -388,8 +397,11 @@ def qos_coverage(
         )
     if num_pairs < 1:
         raise AlgorithmError(f"num_pairs must be >= 1, got {num_pairs}")
+    _check_floor(min_bandwidth_gbps, "min_bandwidth_gbps")
     rng = ensure_rng(seed)
     n = graph.num_nodes
+    if n < 1:
+        raise AlgorithmError("qos_coverage needs a graph with vertices")
     metrics = _resolve_metrics(graph, metrics)
     qos = QoSGraph(
         graph,

@@ -2,26 +2,23 @@
 
 A path is *valley-free* when it climbs customer→provider links, crosses at
 most one peer link, then descends provider→customer links — the export
-rules rational ASes follow.  The BGP simulator builds on these semantics,
-and the tests use them to sanity-check the synthetic topology's
-relationship assignment (every stub must have a valley-free route to
-every tier-1, etc.).
-
-The reachability search runs on a 3-state product graph (UP / PEAK /
-DOWN): O(3(|V| + |E|)) per source.
+rules rational ASes follow.  :func:`is_valley_free` checks one explicit
+path, as :func:`repro.core.domination.is_dominating_path` does for
+B-domination; the tests use it to check the BGP simulator's routes.
+Valley-free *reachability* is a policy curve
+(:func:`repro.routing.policies.policy_connectivity_curve` under
+``BUSINESS``), which runs on the bit-parallel kernel.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph
 from repro.types import Relationship
 
-# Product-graph states.
+# Path-grammar states.
 _UP, _PEAK, _DOWN = 0, 1, 2
 
 
@@ -68,121 +65,3 @@ def is_valley_free(graph: ASGraph, path: Sequence[int]) -> bool:
         else:  # downhill
             state = _DOWN
     return True
-
-
-def _product_bfs(graph: ASGraph, source: int) -> np.ndarray:
-    """Shortest valley-free hop distances from ``source`` (-1 unreachable).
-
-    BFS over (vertex, state) with state transitions:
-    UP --uphill--> UP; UP --peer--> PEAK; any --downhill--> DOWN;
-    PEAK/DOWN accept only downhill.
-    """
-    n = graph.num_nodes
-    if not 0 <= source < n:
-        raise AlgorithmError(f"source {source} out of range")
-    rels = graph.edge_rels
-    # Build per-vertex outgoing hop lists once: (neighbor, hop_type).
-    # Vectorized alternative is possible but this search is test-scale.
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, r in zip(graph.edge_src, graph.edge_dst, rels):
-        u, v, r = int(u), int(v), int(r)
-        if r == int(Relationship.CUSTOMER_TO_PROVIDER):
-            out[u].append((v, +1))
-            out[v].append((u, -1))
-        else:
-            out[u].append((v, 0))
-            out[v].append((u, 0))
-    dist = np.full((n, 3), -1, dtype=np.int64)
-    dist[source, _UP] = 0
-    frontier = [(source, _UP)]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt: list[tuple[int, int]] = []
-        for u, state in frontier:
-            for v, hop in out[u]:
-                if hop == +1 and state == _UP:
-                    new_state = _UP
-                elif hop == 0 and state == _UP:
-                    new_state = _PEAK
-                elif hop == -1:
-                    new_state = _DOWN
-                else:
-                    continue
-                if dist[v, new_state] == -1:
-                    dist[v, new_state] = depth
-                    nxt.append((v, new_state))
-        frontier = nxt
-    best = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
-        reachable = dist[v][dist[v] >= 0]
-        if len(reachable):
-            best[v] = reachable.min()
-    best[source] = 0
-    return best
-
-
-def valley_free_reachable(graph: ASGraph, source: int) -> np.ndarray:
-    """Boolean mask of vertices with a valley-free path from ``source``."""
-    return _product_bfs(graph, source) >= 0
-
-
-def valley_free_shortest_path(
-    graph: ASGraph, source: int, target: int
-) -> list[int] | None:
-    """One shortest valley-free path, or ``None`` when unreachable.
-
-    Reconstructed by re-running the product BFS with parent pointers;
-    intended for examples and tests rather than bulk evaluation.
-    """
-    n = graph.num_nodes
-    if not (0 <= source < n and 0 <= target < n):
-        raise AlgorithmError("source/target out of range")
-    if source == target:
-        return [source]
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, r in zip(graph.edge_src, graph.edge_dst, graph.edge_rels):
-        u, v, r = int(u), int(v), int(r)
-        if r == int(Relationship.CUSTOMER_TO_PROVIDER):
-            out[u].append((v, +1))
-            out[v].append((u, -1))
-        else:
-            out[u].append((v, 0))
-            out[v].append((u, 0))
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    seen = {(source, _UP)}
-    frontier = [(source, _UP)]
-    goal: tuple[int, int] | None = None
-    while frontier and goal is None:
-        nxt: list[tuple[int, int]] = []
-        for u, state in frontier:
-            for v, hop in out[u]:
-                if hop == +1 and state == _UP:
-                    new_state = _UP
-                elif hop == 0 and state == _UP:
-                    new_state = _PEAK
-                elif hop == -1:
-                    new_state = _DOWN
-                else:
-                    continue
-                key = (v, new_state)
-                if key in seen:
-                    continue
-                seen.add(key)
-                parent[key] = (u, state)
-                if v == target:
-                    goal = key
-                    break
-                nxt.append(key)
-            if goal is not None:
-                break
-        frontier = nxt
-    if goal is None:
-        return None
-    path = [goal[0]]
-    key = goal
-    while key != (source, _UP):
-        key = parent[key]
-        path.append(key[0])
-    path.reverse()
-    return path

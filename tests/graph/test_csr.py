@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.exceptions import GraphValidationError
 from repro.graph.bitset import bitset_hop_reach
@@ -165,6 +166,11 @@ class TestBatchedHopReach:
         b = bitset_hop_reach(adj, sources, 4, batch_size=64)
         assert np.array_equal(a, b)
 
+    def test_repeated_sources_each_start(self):
+        adj = _path_csr(3).to_scipy()
+        counts = bitset_hop_reach(adj, np.array([0, 0, 2]), 3)
+        assert counts.tolist() == [[1, 2, 2], [1, 2, 2], [1, 2, 2]]
+
     def test_directed_matrix(self):
         adj = build_csr(3, np.array([0, 1]), np.array([1, 2]), symmetric=False)
         counts = bitset_hop_reach(adj.to_scipy(), np.array([0, 2]), 3)
@@ -175,6 +181,75 @@ class TestBatchedHopReach:
         adj = _path_csr(3)
         with pytest.raises(ValueError):
             bitset_hop_reach(adj.to_scipy(), np.array([0]), 0)
+
+    @staticmethod
+    def _product(n, states, hops):
+        """``(states * n)``-square matrix from ``((u, s), (v, t))`` hops."""
+        rows = [s * n + u for (u, s), _ in hops]
+        cols = [t * n + v for _, (v, t) in hops]
+        return sparse.csr_matrix(
+            (np.ones(len(hops), dtype=np.int8), (rows, cols)),
+            shape=(states * n, states * n),
+        )
+
+    def test_states_count_a_vertex_once(self):
+        # 0 reaches 1 in both states at hop 1, then 2 in state 1 only.
+        mat = self._product(
+            3, 2, [((0, 0), (1, 0)), ((0, 0), (1, 1)), ((1, 0), (2, 1))]
+        )
+        counts = bitset_hop_reach(mat, np.array([0]), 3, states=2)
+        assert counts[0].tolist() == [1, 2, 2]
+        totals = bitset_hop_reach(mat, np.array([0]), 3, states=2, aggregate=True)
+        assert totals.tolist() == [1, 2, 2]
+
+    def test_states_never_count_the_source(self):
+        # The source's vertex comes back in another state, and a source
+        # may start in any state (product id 1 * n + 1 is vertex 1 in
+        # state 1).
+        mat = self._product(
+            3, 2, [((0, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (2, 1)),
+                   ((2, 1), (1, 0))]
+        )
+        counts = bitset_hop_reach(mat, np.array([0, 3 + 1]), 4, states=2)
+        assert counts[0].tolist() == [0, 1, 2, 2]
+        assert counts[1].tolist() == [1, 1, 1, 1]
+        totals = bitset_hop_reach(
+            mat, np.array([0, 3 + 1]), 4, states=2, aggregate=True
+        )
+        assert totals.tolist() == counts.sum(axis=0).tolist()
+
+    def test_states_match_per_source_bfs(self, rng):
+        """Many words per batch and many batches: each base vertex counts
+        at the first hop any of its states is reached."""
+        n, states = 60, 3
+        src = rng.integers(0, states * n, 700)
+        dst = rng.integers(0, states * n, 700)
+        keep = src != dst
+        adj = build_csr(states * n, src[keep], dst[keep], symmetric=False)
+        sources = rng.choice(states * n, size=130, replace=False)
+        expected = np.zeros((len(sources), 5), dtype=np.int64)
+        for i, s in enumerate(sources):
+            dist = bfs_levels(adj, int(s)).reshape(states, n).astype(float)
+            dist[dist == UNREACHABLE] = np.inf
+            first = dist.min(axis=0)
+            first[s % n] = np.inf  # the source's own vertex never counts
+            for hop in range(1, 6):
+                expected[i, hop - 1] = np.count_nonzero(first <= hop)
+        for batch_size in (1, 64, 512):
+            counts = bitset_hop_reach(
+                adj.to_scipy(), sources, 5, batch_size=batch_size, states=states
+            )
+            assert np.array_equal(counts, expected)
+        totals = bitset_hop_reach(
+            adj.to_scipy(), sources, 5, aggregate=True, states=states
+        )
+        assert np.array_equal(totals, expected.sum(axis=0))
+
+    def test_states_must_divide_the_shape(self):
+        adj = _path_csr(5).to_scipy()
+        for states in (2, 0):
+            with pytest.raises(ValueError):
+                bitset_hop_reach(adj, np.array([0]), 2, states=states)
 
 
 class TestComponents:

@@ -6,6 +6,8 @@ namesakes in :mod:`repro.graph.csr` (SciPy's C search),
 :func:`repro.graph.bitset.bitset_hop_reach` (the bit-parallel kernel), and
 :func:`hop_distribution` the per-source loop that
 :func:`repro.graph.paths.hop_distribution` replaced with that kernel.
+The kernel's ``states`` product-graph fold is checked against the
+policy loops in :mod:`tests.oracles.policies`.
 """
 
 from __future__ import annotations

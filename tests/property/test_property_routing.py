@@ -1,8 +1,9 @@
 """Property-based tests for routing semantics.
 
-The policy engine's batched product BFS is verified against brute-force
-path enumeration under the same grammar, and the BGP computation against
-the valley-free reachability oracle.
+The policy curves (one product-graph call of the bit-parallel kernel) are
+verified against the dense reference loops in ``tests/oracles/policies.py``
+and against brute-force path enumeration under the same grammar, and the
+BGP computation against the valley-free reachability oracle.
 """
 
 import itertools
@@ -18,15 +19,17 @@ from repro.routing.policies import (
     DirectionalPolicy,
     policy_connectivity_curve,
 )
-from repro.routing.valley_free import is_valley_free, valley_free_reachable
+from repro.routing.valley_free import is_valley_free
 from repro.types import Relationship
+from tests.oracles.policies import policy_curve_totals, valley_free_reachable
 
 C2P = int(Relationship.CUSTOMER_TO_PROVIDER)
 P2P = int(Relationship.PEER_TO_PEER)
+IXP = int(Relationship.IXP_MEMBERSHIP)
 
 
 @st.composite
-def related_graphs(draw, min_nodes=4, max_nodes=9):
+def related_graphs(draw, min_nodes=4, max_nodes=9, relationships=(C2P, P2P)):
     """Small random graphs with random business relationships."""
     n = draw(st.integers(min_nodes, max_nodes))
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -40,7 +43,7 @@ def related_graphs(draw, min_nodes=4, max_nodes=9):
     )
     rels = draw(
         st.lists(
-            st.sampled_from([C2P, P2P]),
+            st.sampled_from(list(relationships)),
             min_size=len(edges),
             max_size=len(edges),
         )
@@ -103,6 +106,51 @@ class TestValleyFreeEngineAgainstBruteForce:
             }
             reached = {v for v in range(g.num_nodes) if oracle[v] and v != s}
             assert reached == {v for (_, v) in expected}
+
+
+class TestProductGraphAgainstDenseReference:
+    @given(
+        related_graphs(min_nodes=2, max_nodes=11, relationships=(C2P, P2P, IXP)),
+        st.sampled_from(
+            [
+                DirectionalPolicy.BUSINESS,
+                DirectionalPolicy.STRICT_BUSINESS,
+                DirectionalPolicy.DIRECTIONAL,
+            ]
+        ),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_pair_counts_match_dense_loops(self, g, policy, data):
+        """Curve × pairs equals the dense loops' per-hop totals exactly."""
+        n = g.num_nodes
+        # B = V makes every edge inter-broker, so q converts most of them.
+        brokers = data.draw(
+            st.none()
+            | st.just(list(range(n)))
+            | st.lists(st.integers(0, n - 1), min_size=1, unique=True),
+            label="brokers",
+        )
+        q = 0.0 if brokers is None else data.draw(
+            st.sampled_from([0.0, 0.5, 1.0]), label="q"
+        )
+        kwargs = dict(
+            policy=policy,
+            bidirectional_fraction=q,
+            max_hops=data.draw(st.integers(1, 7), label="max_hops"),
+            num_sources=data.draw(
+                st.none() | st.integers(1, n), label="num_sources"
+            ),
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+        )
+        curve = policy_connectivity_curve(g, brokers, **kwargs)
+        totals, num_sources = policy_curve_totals(g, brokers, **kwargs)
+        pairs = num_sources * (n - 1)
+        assert curve.num_sources == num_sources
+        assert np.array_equal(curve.fractions, totals / pairs)
+        assert np.rint(curve.fractions * pairs).astype(np.int64).tolist() == (
+            totals.tolist()
+        )
 
 
 class TestPolicyOrderingProperties:

@@ -153,6 +153,27 @@ class TestPolicyCurves:
         assert 0.0 <= curve.saturated <= 1.0
 
 
+class TestBoundary:
+    """Bad arguments fail before any policy runs, the same for every
+    policy (FREE included)."""
+
+    @pytest.mark.parametrize("policy", list(DirectionalPolicy), ids=lambda p: p.value)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_hops": 0},
+            {"num_sources": 0},
+            {"num_sources": -1},
+            {"bidirectional_fraction": -0.5},
+            {"bidirectional_fraction": float("nan")},
+        ],
+        ids=["max_hops=0", "num_sources=0", "num_sources=-1", "q=-0.5", "q=nan"],
+    )
+    def test_bad_input_rejected(self, policy, kwargs):
+        with pytest.raises(AlgorithmError):
+            policy_connectivity_curve(hierarchy(), [0, 1], policy=policy, **kwargs)
+
+
 class TestDirectionalSemantics:
     def test_uphill_transit_allowed(self):
         """2 -> 0 -> 1 -> 4? Interior 0->1 is peer: blocked; but terminal

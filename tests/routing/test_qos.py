@@ -7,8 +7,10 @@ from repro.core.domination import is_dominating_path
 from repro.core.maxsg import maxsg
 from repro.exceptions import AlgorithmError
 from repro.graph.asgraph import ASGraph, EdgeAttributes
+from repro.graph.multigraph import MultiGraph
 from repro.routing.qos import (
     LinkMetrics,
+    MultiQoSRouter,
     qos_coverage,
     qos_shortest_path,
     synthesize_link_metrics,
@@ -75,6 +77,10 @@ class TestQoSShortestPath:
     def test_bandwidth_floor_blocks(self):
         g, m = line_with_metrics()
         assert qos_shortest_path(g, m, 0, 3, min_bandwidth_gbps=5.0) is None
+        # A NaN floor would fail every ``>=`` and block every link too;
+        # it is an error, not an answer.
+        with pytest.raises(AlgorithmError):
+            qos_shortest_path(g, m, 0, 3, min_bandwidth_gbps=float("nan"))
 
     def test_same_node(self):
         g, m = line_with_metrics()
@@ -141,6 +147,11 @@ class TestQoSCoverage:
         g, m = line_with_metrics()
         with pytest.raises(AlgorithmError):
             qos_coverage(g, m, None, max_latency_ms=float("nan"))
+        with pytest.raises(AlgorithmError):
+            qos_coverage(
+                g, m, None, max_latency_ms=100.0,
+                min_bandwidth_gbps=float("nan"),
+            )
 
     def test_infinite_budget_allowed(self):
         g, m = line_with_metrics()
@@ -287,6 +298,19 @@ class TestQoSEdgeCases:
             g, m, [0], max_latency_ms=1e6, num_pairs=50, seed=0
         )
         assert cov < 1.0
+        # A graph with no vertices has no pairs to sample at all.
+        empty = ASGraph.from_edges(0, [])
+        none = LinkMetrics(latency_ms=[], bandwidth_gbps=[])
+        with pytest.raises(AlgorithmError):
+            qos_coverage(empty, none, None, max_latency_ms=10.0)
+
+    def test_nan_demand_rejected(self):
+        """A NaN demand would drop every bundle; it is an error."""
+        _, _, annotated = annotated_line()
+        mg = MultiGraph.from_asgraph(annotated)
+        assert MultiQoSRouter(mg, demand_gbps=0.5).path(0, 3).path == [0, 1, 2, 3]
+        with pytest.raises(AlgorithmError):
+            MultiQoSRouter(mg, demand_gbps=float("nan"))
 
     def test_engine_degradation_reroutes(self):
         """Cutting the direct link forces the detour (or darkness)."""
