@@ -991,42 +991,26 @@ def _maybe_trace(args: argparse.Namespace):
     """Install a recording tracer for the command when ``--trace-out`` is set.
 
     The trace is exported even when the command fails, so a crashing run
-    still leaves its spans behind for debugging.  A sibling
-    ``FILE.shards/`` directory is offered to process-pool workers for
-    their per-process span shards; after export the shards are merged
-    into the trace (clock-normalized, orphans adopted) and the shard
-    directory is removed, so the file on disk is the one canonical
-    multi-process trace.
+    still leaves its spans behind for debugging.  Process-pool workers
+    send their spans home with their results, so the file holds the
+    whole run.
     """
     trace_out = getattr(args, "trace_out", None)
     if not trace_out:
         yield
         return
-    import shutil
-
     from repro.obs import Tracer, use_tracer
-    from repro.obs.collect import discover_shards, merge_into
 
-    shard_dir = f"{trace_out}.shards"
     tracer = Tracer(metadata={
         "command": args.command,
         "scale": getattr(args, "scale", None),
         "seed": getattr(args, "seed", None),
-    }, shard_dir=shard_dir)
+    })
     with use_tracer(tracer):
         try:
             yield
         finally:
             count = tracer.export(trace_out)
-            if discover_shards(shard_dir):
-                merged, adopted = merge_into(trace_out, shard_dir)
-                shutil.rmtree(shard_dir, ignore_errors=True)
-                count += merged
-                print(
-                    f"merged {merged} worker span(s) "
-                    f"({adopted} orphan(s) adopted)",
-                    file=sys.stderr,
-                )
             print(
                 f"wrote {count} trace record(s) to {trace_out}",
                 file=sys.stderr,

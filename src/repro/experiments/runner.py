@@ -28,7 +28,13 @@ import numpy as np
 
 from repro.exceptions import CheckpointError, ReproError
 from repro.experiments.config import ExperimentConfig
-from repro.obs import add_counter, get_logger, get_tracer, write_atomic
+from repro.obs import (
+    add_counter,
+    counter_moves,
+    get_logger,
+    get_tracer,
+    write_atomic,
+)
 from repro.obs.ledger import (
     Ledger,
     RunRecord,
@@ -36,7 +42,6 @@ from repro.obs.ledger import (
     now as _ledger_now,
     summarize_observation,
 )
-from repro.obs.metrics import iter_nonzero_counters
 from repro.parallel.cache import ResultCache
 from repro.parallel.executor import parallel_map, run_with_timeout
 from repro.utils.rng import SeedLike, ensure_rng
@@ -228,21 +233,25 @@ def result_from_dict(data: dict) -> ExperimentResult:
 def _coverage_from_paper_values(paper_values: dict) -> dict:
     """The deterministic fractions a result reports, keyed by label.
 
-    Experiments shape ``paper_values`` either as ``{label: {"paper": x,
-    "measured": y, ...}}`` (the Table-1 style) or as ``{label: number}``;
-    both are flattened to ``{label: measured}`` so the ledger's exact
-    regression gate covers every deterministic headline value.
+    Experiments shape ``paper_values`` as ``{label: {"paper": x,
+    "measured": y, ...}}`` (the Table-1 style), as ``{label: {key:
+    number, ...}}`` (curves and per-policy values) or as ``{label:
+    number}``.  The first gives ``{label: measured}``, the second one
+    ``"label/key"`` per numeric leaf, so the ledger's exact regression
+    gate covers every deterministic headline value.  Booleans, strings
+    and arrays are skipped.
     """
     coverage: dict[str, float] = {}
     for label, value in paper_values.items():
-        if isinstance(value, dict):
-            measured = value.get("measured")
-            if isinstance(measured, (int, float)) and not isinstance(
-                measured, bool
-            ):
-                coverage[str(label)] = float(measured)
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            coverage[str(label)] = float(value)
+        if not isinstance(value, dict):
+            leaves = {str(label): value}
+        elif "measured" in value:
+            leaves = {str(label): value["measured"]}
+        else:
+            leaves = {f"{label}/{key}": leaf for key, leaf in value.items()}
+        for name, leaf in leaves.items():
+            if isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
+                coverage[name] = float(leaf)
     return coverage
 
 
@@ -363,53 +372,49 @@ def _attempt_experiment(
     thread per attempt, so a timed-out attempt is abandoned without
     delaying any later attempt or task.
     """
-    before = dict(iter_nonzero_counters())
     fn = _REGISTRY.get(name)
     tracer = get_tracer()
     delays = backoff_delays(retries, base=backoff_base, cap=backoff_cap, seed=seed)
     elapsed_total = 0.0
     last_error: Exception | None = None
-    for attempt in range(1, retries + 2):
-        start = time.perf_counter()
-        add_counter("runner.attempts")
-        if attempt > 1:
-            add_counter("runner.retries")
-        try:
-            with tracer.span(
-                "experiment.attempt", experiment=name, attempt=attempt
-            ):
-                if fn is None:
-                    raise ReproError(
-                        f"unknown experiment {name!r}; "
-                        f"available: {sorted(_REGISTRY)}"
+    # ``moved`` fills in as the block exits, before a caller sees it.
+    with counter_moves() as moved:
+        for attempt in range(1, retries + 2):
+            start = time.perf_counter()
+            add_counter("runner.attempts")
+            if attempt > 1:
+                add_counter("runner.retries")
+            try:
+                with tracer.span(
+                    "experiment.attempt", experiment=name, attempt=attempt
+                ):
+                    if fn is None:
+                        raise ReproError(
+                            f"unknown experiment {name!r}; "
+                            f"available: {sorted(_REGISTRY)}"
+                        )
+                    outcome = run_with_timeout(
+                        fn, (config,), timeout=timeout, name=name
                     )
-                outcome = run_with_timeout(
-                    fn, (config,), timeout=timeout, name=name
-                )
-        except Exception as exc:  # noqa: BLE001 — graceful degradation
+            except Exception as exc:  # noqa: BLE001 — graceful degradation
+                elapsed_total += time.perf_counter() - start
+                last_error = exc
+                if attempt <= retries:
+                    delay = delays[attempt - 1]
+                    _log.warning(
+                        "experiment attempt failed; retrying",
+                        extra={
+                            "experiment": name,
+                            "attempt": attempt,
+                            "error": type(exc).__name__,
+                            "backoff": round(delay, 3),
+                        },
+                    )
+                    if delay > 0:
+                        sleep(delay)
+                continue
             elapsed_total += time.perf_counter() - start
-            last_error = exc
-            if attempt <= retries:
-                delay = delays[attempt - 1]
-                _log.warning(
-                    "experiment attempt failed; retrying",
-                    extra={
-                        "experiment": name,
-                        "attempt": attempt,
-                        "error": type(exc).__name__,
-                        "backoff": round(delay, 3),
-                    },
-                )
-                if delay > 0:
-                    sleep(delay)
-            continue
-        elapsed_total += time.perf_counter() - start
-        moved = {
-            counter: value - before.get(counter, 0)
-            for counter, value in iter_nonzero_counters()
-            if value != before.get(counter, 0)
-        }
-        return outcome, None, elapsed_total, moved
+            return outcome, None, elapsed_total, moved
     assert last_error is not None
     add_counter("runner.failures")
     _log.error(

@@ -6,16 +6,17 @@ Two halves, all stdlib-only:
 
 * :mod:`repro.obs.tracer` — nested spans with JSON-lines export,
   contextvar-carried :class:`TraceContext` (trace/span/parent ids that
-  survive asyncio task switches and serialize across processes), and a
+  survive asyncio task switches and serialize across processes), a
   no-op default (:class:`NullTracer`) so hot paths pay ~nothing when
-  tracing is off;
-* :mod:`repro.obs.collect` — merges worker-process span shards into
-  one canonical trace (clock normalization, orphan adoption) and
-  renders critical paths / text flamegraphs from it;
+  tracing is off, and :meth:`Tracer.absorb`, which re-times the spans a
+  pool worker sends home onto the parent's clock;
+* :mod:`repro.obs.collect` — reads a trace file back and renders
+  critical paths / text flamegraphs from its span trees;
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
   gauges and histograms (with exact quantiles up to a bounded-memory
   reservoir cutoff) the instrumented kernels/runner/executor/cache
-  flush into;
+  flush into, and :func:`counter_moves`, what a block moved (how a pool
+  chunk's counters come home);
 * :mod:`repro.obs.slo` — live serving telemetry: sliding-window
   rolling stats and declarative SLOs with burn-rate alerts;
 * :mod:`repro.obs.profile` — the ``@profiled`` decorator combining both;
@@ -44,6 +45,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     add_counter,
+    counter_moves,
     get_registry,
     metrics_disabled,
     metrics_enabled,
@@ -71,10 +73,6 @@ from repro.obs.collect import (
     SpanNode,
     build_trees,
     critical_path,
-    discover_shards,
-    merge,
-    merge_into,
-    read_shard,
     read_trace,
     render_critical_path,
     render_flame,
@@ -154,24 +152,21 @@ __all__ = [
     "check_records",
     "compare_run",
     "configure_logging",
+    "counter_moves",
     "critical_path",
     "current_context",
     "default_ledger_path",
-    "discover_shards",
     "export_bench",
     "get_logger",
     "get_registry",
     "get_tracer",
     "git_revision",
-    "merge",
-    "merge_into",
     "metrics_disabled",
     "metrics_enabled",
     "observe",
     "observe_many",
     "parse_slo_spec",
     "profiled",
-    "read_shard",
     "read_trace",
     "render_critical_path",
     "render_dashboard",

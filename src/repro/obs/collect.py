@@ -1,31 +1,13 @@
-"""Trace collection: merge per-process span shards, analyze span trees.
+"""Trace analysis: read a trace file, rebuild span trees, find what gated them.
 
-A distributed trace is written in pieces.  The parent process exports
-its tracer the usual way (:meth:`repro.obs.tracer.Tracer.export`);
-worker processes — which cannot share the parent's tracer — append
-their spans to ``shard-<pid>.jsonl`` files in a shard directory (see
-:meth:`~repro.obs.tracer.Tracer.export_shard`).  This module puts the
-pieces back together and answers questions about the result:
+A trace is the one JSONL file a :class:`~repro.obs.tracer.Tracer`
+exports; spans from process-pool workers are already in it, absorbed by
+the parent tracer as each chunk came home (see
+:meth:`~repro.obs.tracer.Tracer.absorb`).  This module answers questions
+about it:
 
-* :func:`merge` — one canonical record list from a root trace plus any
-  number of shards.  Two non-obvious steps:
-
-  - **clock normalization**: every span's ``start`` is an offset from
-    its own tracer's ``perf_counter`` epoch, and monotonic clocks are
-    not comparable across processes.  Each shard carries a ``clock``
-    record pairing its prefix with the tracer's ``wall_epoch``
-    (``time.time()`` sampled at the same instant as the monotonic
-    epoch); shard starts are shifted by ``shard_wall − root_wall`` so
-    all offsets share the root's timeline.  Accuracy is bounded by
-    wall-clock sampling jitter (micro- to milliseconds) — fine for
-    flamegraphs, not for sub-microsecond forensics.
-  - **orphan adoption**: a span whose parent id is absent after the
-    merge (its parent never closed — crash, timeout, or a shard that
-    never flushed) would otherwise detach its whole subtree from
-    analysis.  Orphans are re-parented onto their *trace's* root span
-    when one exists (marked ``attrs["adopted"] = true``), or left as
-    roots when the whole trace has no root here.
-
+* :func:`read_trace` — load ``(meta, records)``, tolerating schema-1
+  files (integer ids);
 * :func:`build_trees` / :func:`critical_path` /
   :func:`render_critical_path` / :func:`render_flame` — span-tree
   reconstruction, critical-path extraction (at every span, descend into
@@ -36,8 +18,8 @@ pieces back together and answers questions about the result:
 Critical-path timings are **budget-clamped**: a child's contribution is
 capped at what remains of its parent's duration, so the reported
 self-time sum can never exceed the root span's wall time even when
-cross-process clock normalization leaves spans nominally longer than
-their parents.
+cross-process clock alignment leaves spans nominally longer than their
+parents.
 """
 
 from __future__ import annotations
@@ -45,16 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
-from repro.obs.log import get_logger
-
-_log = get_logger("collect")
-
-
-# ----------------------------------------------------------------------
-# Shard merge
-# ----------------------------------------------------------------------
 
 def read_trace(path: str | Path) -> tuple[dict, list[dict]]:
     """Load a trace file → ``(meta, records)``.
@@ -83,139 +56,6 @@ def _normalize_ids(record: dict) -> None:
     if record.get("parent") is not None:
         record["parent"] = str(record["parent"])
     record.setdefault("trace", record["id"])
-
-
-def read_shard(path: str | Path) -> list[dict]:
-    """Load one shard file: ``clock`` records interleaved with spans.
-
-    Returns span/event records with a ``_wall_epoch`` annotation taken
-    from the most recent preceding ``clock`` record (a shard file can
-    hold many chunks, one clock record each — every chunk came from a
-    fresh worker-side tracer with its own epoch).
-    """
-    out: list[dict] = []
-    wall_epoch: float | None = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("type") == "clock":
-                wall_epoch = record.get("wall_epoch")
-                continue
-            _normalize_ids(record)
-            record["_wall_epoch"] = wall_epoch
-            out.append(record)
-    return out
-
-
-def discover_shards(shard_dir: str | Path) -> list[Path]:
-    directory = Path(shard_dir)
-    if not directory.is_dir():
-        return []
-    return sorted(directory.glob("shard-*.jsonl"))
-
-
-def merge(
-    meta: dict,
-    records: list[dict],
-    shard_records: Iterable[dict] = (),
-) -> tuple[dict, list[dict]]:
-    """Merge root-trace records with shard records into one canonical list.
-
-    Shard starts are normalized onto the root tracer's monotonic
-    timeline via the wall-epoch offset, then orphans are adopted (see
-    module docstring).  Returns an updated ``(meta, records)`` pair;
-    ``meta`` gains ``merged_shard_records`` and ``adopted_orphans``
-    counts and an up-to-date ``num_records``.
-    """
-    root_wall = meta.get("wall_epoch")
-    merged = list(records)
-    shard_count = 0
-    for record in shard_records:
-        record = dict(record)
-        wall = record.pop("_wall_epoch", None)
-        if root_wall is not None and wall is not None:
-            record["start"] = record["start"] + (wall - root_wall)
-        merged.append(record)
-        shard_count += 1
-
-    adopted = _adopt_orphans(merged)
-
-    meta = dict(meta)
-    meta["num_records"] = len(merged)
-    meta["merged_shard_records"] = shard_count
-    meta["adopted_orphans"] = adopted
-    if adopted:
-        _log.debug("adopted orphan spans", extra={"count": adopted})
-    return meta, merged
-
-
-def _adopt_orphans(records: list[dict]) -> int:
-    """Re-parent spans whose parent id is missing onto their trace root.
-
-    Returns the number of re-parented records.  A trace's root is its
-    parentless span; when a trace has no parentless span at all (the
-    root lived in a shard that never flushed), the oldest orphan is
-    promoted to root and the rest adopt it.
-    """
-    known = {r["id"] for r in records}
-    # Earliest-starting parentless span claims the trace-root role.
-    root_spans: dict[str, dict] = {}
-    for r in records:
-        if r.get("parent") is None and r["type"] == "span":
-            prev = root_spans.get(r["trace"])
-            if prev is None or r["start"] < prev["start"]:
-                root_spans[r["trace"]] = r
-    roots = {trace: r["id"] for trace, r in root_spans.items()}
-    orphans = [
-        r for r in records
-        if r.get("parent") is not None and r["parent"] not in known
-    ]
-    adopted = 0
-    by_trace: dict[str, list[dict]] = {}
-    for r in orphans:
-        by_trace.setdefault(r["trace"], []).append(r)
-    for trace_id, group in by_trace.items():
-        root_id = roots.get(trace_id)
-        if root_id is None:
-            # No root survived: promote the earliest orphan span.
-            group.sort(key=lambda r: r["start"])
-            promoted = next(
-                (r for r in group if r["type"] == "span"), group[0]
-            )
-            promoted["parent"] = None
-            promoted.setdefault("attrs", {})["adopted"] = True
-            roots[trace_id] = promoted["id"]
-            root_id = promoted["id"]
-            adopted += 1
-            group = [r for r in group if r is not promoted]
-        for r in group:
-            r["parent"] = root_id
-            r.setdefault("attrs", {})["adopted"] = True
-            adopted += 1
-    return adopted
-
-
-def merge_into(
-    trace_path: str | Path, shard_dir: str | Path
-) -> tuple[int, int]:
-    """Merge every shard under ``shard_dir`` into ``trace_path`` in place.
-
-    Returns ``(merged_shard_records, adopted_orphans)``.  Used by the
-    CLI right after a traced run: the parent exports its trace, then
-    folds worker shards in so the file on disk is the canonical trace.
-    """
-    meta, records = read_trace(trace_path)
-    shard_records: list[dict] = []
-    for shard in discover_shards(shard_dir):
-        shard_records.extend(read_shard(shard))
-    meta, merged = merge(meta, records, shard_records)
-    lines = [json.dumps(meta, sort_keys=True, default=str)]
-    lines.extend(json.dumps(r, sort_keys=True, default=str) for r in merged)
-    Path(trace_path).write_text("\n".join(lines) + "\n")
-    return meta.get("merged_shard_records", 0), meta.get("adopted_orphans", 0)
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +90,9 @@ def build_trees(records: list[dict]) -> list[SpanNode]:
     """Reconstruct span trees (roots sorted by start time).
 
     Events ride along as zero-duration leaves.  Records whose parent is
-    unknown become roots — run :func:`merge` first if you want adoption.
+    unknown become roots: a span whose parent had not closed when the
+    trace was exported, such as one inside a timed-out attempt that is
+    still running.
     """
     nodes = {r["id"]: SpanNode(r) for r in records}
     roots: list[SpanNode] = []
@@ -285,8 +127,8 @@ def critical_path(root: SpanNode) -> list[CriticalStep]:
     parent's (budget-clamped) duration minus its children's; durations
     are clamped to the budget remaining from the root, so
     ``sum(step.self_time) <= root.dur`` holds by construction even when
-    cross-process clock normalization leaves a child nominally longer
-    than its parent.
+    cross-process clock alignment leaves a child nominally longer than
+    its parent.
     """
     steps: list[CriticalStep] = []
 

@@ -14,8 +14,13 @@ The module-level helpers (:func:`add_counter`, :func:`observe`,
 global enable flag (:func:`set_metrics_enabled` — what the overhead
 benchmark toggles to measure the instrumentation itself) and serialize
 updates, so kernels running on executor worker threads can flush safely.
-Worker *processes* have their own registry; cross-process aggregation is
-out of scope (the parent records task wall/queue times it observes).
+Worker *processes* have their own registry.  :func:`counter_moves`
+measures what a block moved, which is how a process-pool chunk carries
+its counters home to the parent (``repro.parallel.parallel_map``).
+Histograms and gauges recorded in a worker stay there: a histogram past
+:data:`EXACT_SAMPLE_CUTOFF` keeps a reservoir, which two processes
+cannot merge exactly, and a gauge's last write has no meaning across
+processes.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import json
 import math
 import random
 import threading
+from contextlib import contextmanager
 from typing import Iterator
 
 from repro.utils.tables import format_table
@@ -309,3 +315,26 @@ def iter_nonzero_counters() -> Iterator[tuple[str, int]]:
     for name, counter in sorted(_REGISTRY._counters.items()):
         if counter.value:
             yield name, counter.value
+
+
+@contextmanager
+def counter_moves() -> Iterator[dict[str, int]]:
+    """Yield a dict that, on exit, maps each counter to its move in the block.
+
+    Counters that did not move are left out.  The registry is read under
+    the metrics lock: a thread abandoned by a timeout may still be
+    creating counters.
+    """
+    before = _counter_values()
+    moves: dict[str, int] = {}
+    try:
+        yield moves
+    finally:
+        for name, value in _counter_values().items():
+            if value != before.get(name, 0):
+                moves[name] = value - before.get(name, 0)
+
+
+def _counter_values() -> dict[str, int]:
+    with _LOCK:
+        return {name: c.value for name, c in _REGISTRY._counters.items()}

@@ -2,9 +2,8 @@
 
 The experiment harness, the ``@profiled`` decorator and the runner all
 share this implementation: :class:`Timer` offers a context-manager and
-``start``/``stop`` API (``repro.utils.Timer`` is the same class) and
-optionally flushes the elapsed seconds into the metrics registry when
-constructed with a ``metric`` name.
+``start``/``stop`` API and optionally flushes the elapsed seconds into
+the metrics registry when constructed with a ``metric`` name.
 """
 
 from __future__ import annotations

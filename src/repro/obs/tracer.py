@@ -10,13 +10,14 @@ asyncio task gets an independent span stack (two tasks interleaving on
 one thread can no longer mis-parent each other's spans) and the context
 is an explicit, serializable value — :class:`TraceContext` with
 ``trace_id`` / ``span_id`` / ``parent_id`` — that can be carried across
-process boundaries (the parallel executor injects it into task
-envelopes; worker processes append their spans to per-process JSONL
-*shards* that :mod:`repro.obs.collect` merges back into one trace).
+process boundaries.  The parallel executor hands it to each pool chunk;
+the worker records the chunk's spans under a tracer of its own and
+sends them back with the chunk's results, and the parent's
+:meth:`Tracer.absorb` moves them onto its own clock.
 
 Span ids are strings of the form ``"<prefix>.<n>"`` where the prefix is
 unique per tracer (pid + random suffix), so ids from different
-processes never collide and a merged trace needs no renumbering.  Every
+processes never collide and absorbed spans need no renumbering.  Every
 root span (opened with no enclosing context) starts a fresh
 ``trace_id``; children inherit it — one loadgen query, one trace.
 
@@ -239,38 +240,27 @@ class Span:
 
 
 class Tracer:
-    """Collects spans from any number of threads, tasks, and (via
-    shards) processes.
+    """Collects spans from any number of threads and tasks, and (through
+    :meth:`absorb`) from other processes.
 
     ``metadata`` (seed, scale, command, ...) is carried into the trace's
     leading ``meta`` record.  Span parenthood follows the ambient
     :class:`TraceContext` (a contextvar — concurrent asyncio tasks and
     threads each see their own), or an explicit ``parent=`` override.
     Ids carry a per-tracer prefix unique across processes.
-
-    ``shard_dir`` opts distributed collection in: the parallel executor
-    reads it off the active tracer and tells worker processes where to
-    append their per-process span shards (merged back by
-    :mod:`repro.obs.collect`).
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        metadata: dict | None = None,
-        *,
-        shard_dir: str | Path | None = None,
-    ) -> None:
+    def __init__(self, metadata: dict | None = None) -> None:
         self.metadata = dict(metadata or {})
-        self.shard_dir = str(shard_dir) if shard_dir is not None else None
         self._records: list[dict] = []
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._prefix = f"{os.getpid():x}-{os.urandom(3).hex()}"
         # One wall-clock/monotonic epoch pair: record starts are offsets
-        # from _epoch; wall_epoch lets collect.merge align traces whose
-        # monotonic clocks (other processes) are not comparable.
+        # from _epoch; wall_epoch lets absorb() align records from
+        # tracers whose monotonic clocks (other processes) differ.
         self._epoch = time.perf_counter_ns()
         self.wall_epoch = time.time()
 
@@ -335,6 +325,21 @@ class Tracer:
         with self._lock:
             self._records.append(record)
 
+    def absorb(self, records: list[dict], wall_epoch: float) -> None:
+        """Append records finished by another tracer (a pool worker's).
+
+        Their ``start`` offsets count from that tracer's epoch, whose
+        wall-clock time is ``wall_epoch``; each is shifted by
+        ``wall_epoch − self.wall_epoch`` onto this tracer's timeline.
+        Monotonic clocks are not comparable across processes, so the
+        alignment is as good as wall-clock sampling jitter (micro- to
+        milliseconds).
+        """
+        shift = wall_epoch - self.wall_epoch
+        shifted = [dict(r, start=r["start"] + shift) for r in records]
+        with self._lock:
+            self._records.extend(shifted)
+
     # ------------------------------------------------------------------
     # Introspection / export
     # ------------------------------------------------------------------
@@ -357,9 +362,7 @@ class Tracer:
 
         The ``meta`` record embeds a snapshot of the process-wide
         metrics registry, so one trace file carries both the span tree
-        and the counters/histograms the traced run accumulated, plus
-        the ``wall_epoch``/``prefix`` pair :mod:`repro.obs.collect`
-        uses to align shards from other processes.
+        and the counters/histograms the traced run accumulated.
         """
         from repro.obs.metrics import get_registry
 
@@ -383,38 +386,6 @@ class Tracer:
         """Write the JSONL trace to ``path``; returns the record count."""
         Path(path).write_text(self.to_jsonl())
         return len(self.records)
-
-    def export_shard(self, shard_dir: str | Path | None = None) -> Path:
-        """Append this tracer's records to a per-process shard file.
-
-        The shard format is one ``clock`` record — carrying this
-        tracer's ``prefix`` and ``wall_epoch`` so the collector can
-        normalize its monotonic offsets onto the root trace's clock —
-        followed by the span/event records.  The whole chunk goes down
-        in a single ``os.write`` on an ``O_APPEND`` descriptor (the
-        ledger's atomicity trick), so any number of chunks from any
-        number of pool workers can share one ``shard-<pid>.jsonl``.
-        """
-        directory = Path(shard_dir if shard_dir is not None else self.shard_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"shard-{os.getpid()}.jsonl"
-        clock = {
-            "type": "clock",
-            "prefix": self._prefix,
-            "wall_epoch": self.wall_epoch,
-            "pid": os.getpid(),
-        }
-        lines = [json.dumps(clock, sort_keys=True)]
-        lines.extend(
-            json.dumps(r, sort_keys=True, default=str) for r in self.records
-        )
-        payload = ("\n".join(lines) + "\n").encode()
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, payload)
-        finally:
-            os.close(fd)
-        return path
 
 
 # ----------------------------------------------------------------------

@@ -7,20 +7,20 @@ the calling process, and ``workers > 1`` runs a
 items must be picklable).  Results come back in item order either way,
 so a task that carries its own seed gives the same answer on both paths
 and under any chunking.  Failures are captured per task as
-:class:`TaskFailure` records that convert directly into the experiment
-runner's ``ExperimentFailure`` machinery instead of aborting the whole
-sweep.
+:class:`TaskFailure` records instead of aborting the whole sweep.
 
-Tracing crosses the process boundary.  When a :class:`~repro.obs.Tracer`
-is active, the whole map runs under one ``parallel.map`` span and each
-task gets a ``parallel.task`` child.  Pool workers cannot see the
-parent's tracer object, so the map span's
-:class:`~repro.obs.TraceContext` is serialized into a *trace envelope*
-handed to :func:`_run_chunk`; each worker opens a local tracer whose
-spans are appended to a per-process JSONL shard in the active tracer's
-``shard_dir`` (merged back into the main trace by
-:mod:`repro.obs.collect`).  Without a ``shard_dir`` worker-side spans
-are simply not collected.
+What a pool worker measured comes home with its chunk's results, so a
+sweep reports the same counters and spans on both paths.  Each chunk
+runs inside :func:`~repro.obs.metrics.counter_moves`, and the parent
+adds those moves to its own registry.  When a :class:`~repro.obs.Tracer`
+is active, the whole map runs under one ``parallel.map`` span; its
+serialized :class:`~repro.obs.TraceContext` goes with every chunk, the
+worker records a ``parallel.chunk`` span (with one ``parallel.task``
+child per task) under a tracer of its own, and the parent's
+:meth:`~repro.obs.Tracer.absorb` re-times those spans onto its clock.
+Histograms and gauges recorded in a worker stay there.  A chunk that
+raises under ``capture_errors=False`` brings nothing home, because the
+map aborts on it, and neither does a chunk whose worker died.
 
 :func:`run_with_timeout` is the wall-clock guard used by the hardened
 experiment runner.  It runs the task on a *daemon* thread, records
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import atexit
 import concurrent.futures
+import contextvars
 import math
 import threading
 import time
@@ -40,7 +41,17 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.exceptions import ExperimentTimeoutError, ReproError
-from repro.obs import add_counter, get_logger, get_tracer, observe, set_gauge
+from repro.obs import (
+    TraceContext,
+    Tracer,
+    add_counter,
+    counter_moves,
+    get_logger,
+    get_tracer,
+    observe,
+    set_gauge,
+    use_tracer,
+)
 
 _log = get_logger("parallel")
 
@@ -54,23 +65,6 @@ class TaskFailure:
     error_type: str
     message: str
     traceback: str = ""
-
-    def as_experiment_failure(
-        self, experiment_id: str | None = None, *, attempts: int = 1,
-        elapsed: float = 0.0,
-    ):
-        """Convert into the batch runner's ``ExperimentFailure`` record."""
-        from repro.experiments.runner import ExperimentFailure
-
-        return ExperimentFailure(
-            experiment_id=experiment_id
-            if experiment_id is not None
-            else f"task[{self.index}]",
-            attempts=attempts,
-            error_type=self.error_type,
-            message=self.message,
-            elapsed=elapsed,
-        )
 
 
 @dataclass(frozen=True)
@@ -137,51 +131,38 @@ def _run_chunk(
     fn: Callable,
     indexed_items: Sequence[tuple[int, Any]],
     capture_errors: bool,
-    submitted_at: float | None = None,
-    trace_envelope: dict | None = None,
-) -> tuple[list[tuple[int, bool, Any, float]], float]:
-    """Execute one chunk; returns ``(results, queue_seconds)``.
+    submitted_at: float,
+    context: dict | None,
+) -> tuple[list[tuple[int, bool, Any, float]], float, dict, list[dict], float]:
+    """A pool worker's entry point: run one chunk and pack what it measured.
 
-    Each result is ``(index, ok, value_or_failure_tuple, task_seconds)``.
-    Runs in the worker (possibly another process), so failures are
-    returned as plain picklable tuples rather than exception objects.
-    ``queue_seconds`` is how long the chunk waited between submission and
-    its first task starting (``time.monotonic`` is system-wide on the
-    platforms the process pool targets; clamped at zero otherwise).
-
-    ``trace_envelope`` (pool workers only) is
-    ``{"context": TraceContext dict, "shard_dir": path}``: the chunk
-    runs under a fresh worker-local tracer with a ``parallel.chunk``
-    span parented at the serialized context, and the collected spans are
-    appended to the worker's shard file before returning.
+    Returns ``(results, queue_seconds, counter_moves, span_records,
+    wall_epoch)``.  Each result is ``(index, ok, value_or_failure_tuple,
+    task_seconds)``; failures are plain picklable tuples rather than
+    exception objects.  ``queue_seconds`` is how long the chunk waited
+    between submission and its first task starting (``time.monotonic``
+    is system-wide on the platforms the process pool targets; clamped at
+    zero otherwise).  ``counter_moves`` is how far the chunk moved each
+    counter.  ``context`` is the parent's ``parallel.map`` span context,
+    or ``None`` when the parent is not tracing; when set, the chunk runs
+    under a fresh tracer with a ``parallel.chunk`` span parented there,
+    and ``span_records`` / ``wall_epoch`` are that tracer's records and
+    clock.
     """
-    queue_seconds = (
-        max(0.0, time.monotonic() - submitted_at)
-        if submitted_at is not None
-        else 0.0
-    )
-    if trace_envelope is None:
-        return _execute_tasks(fn, indexed_items, capture_errors), queue_seconds
-
-    from repro.obs.tracer import TraceContext, Tracer, use_tracer
-
-    shard_tracer = Tracer()
-    parent = TraceContext.from_dict(trace_envelope["context"])
-    try:
-        with use_tracer(shard_tracer):
-            with shard_tracer.span(
-                "parallel.chunk",
-                parent=parent,
-                tasks=len(indexed_items),
-                queue_seconds=round(queue_seconds, 6),
-            ):
-                out = _execute_tasks(fn, indexed_items, capture_errors)
-    finally:
-        try:
-            shard_tracer.export_shard(trace_envelope["shard_dir"])
-        except OSError:  # pragma: no cover - shard dir vanished mid-run
-            _log.warning("failed to write trace shard", exc_info=True)
-    return out, queue_seconds
+    queue_seconds = max(0.0, time.monotonic() - submitted_at)
+    if context is None:
+        with counter_moves() as moves:
+            out = _execute_tasks(fn, indexed_items, capture_errors)
+        return out, queue_seconds, moves, [], 0.0
+    tracer = Tracer()
+    with counter_moves() as moves, use_tracer(tracer), tracer.span(
+        "parallel.chunk",
+        parent=TraceContext.from_dict(context),
+        tasks=len(indexed_items),
+        queue_seconds=round(queue_seconds, 6),
+    ):
+        out = _execute_tasks(fn, indexed_items, capture_errors)
+    return out, queue_seconds, moves, tracer.records, tracer.wall_epoch
 
 
 def parallel_map(
@@ -225,8 +206,13 @@ def parallel_map(
     failures: list[TaskFailure] = []
     tracer = get_tracer()
 
-    def absorb(chunk: tuple[list[tuple[int, bool, Any, float]], float]) -> None:
-        chunk_out, queue_seconds = chunk
+    def absorb(chunk: tuple) -> None:
+        """Take one chunk: its counter moves and spans, then its results."""
+        chunk_out, queue_seconds, moves, spans, wall_epoch = chunk
+        for name, moved in moves.items():
+            add_counter(name, moved)
+        if spans:
+            tracer.absorb(spans, wall_epoch)
         if chunk_out:
             observe("parallel.queue_seconds", queue_seconds)
         for index, ok, value, task_seconds in chunk_out:
@@ -251,19 +237,15 @@ def parallel_map(
         if workers == 1 or total == 0:
             if initializer is not None:
                 initializer(*initargs)
-            absorb(_run_chunk(fn, list(enumerate(items)), capture_errors))
+            # Counters and spans land in the caller as the tasks run.
+            out = _execute_tasks(fn, list(enumerate(items)), capture_errors)
+            absorb((out, 0.0, {}, [], 0.0))
             failures.sort(key=lambda f: f.index)
             return ParallelResult(results=results, failures=tuple(failures))
 
         # Pool workers cannot see the parent tracer; hand them the map
-        # span's serialized context plus a shard directory to append
-        # their spans to (only when the active tracer opted in).
-        envelope = None
-        if tracer.enabled and getattr(tracer, "shard_dir", None):
-            envelope = {
-                "context": map_span.context.to_dict(),
-                "shard_dir": tracer.shard_dir,
-            }
+        # span's serialized context instead.
+        context = map_span.context.to_dict() if tracer.enabled else None
 
         if chunk_size is None:
             chunk_size = max(1, math.ceil(total / (workers * 4)))
@@ -277,7 +259,7 @@ def parallel_map(
                     [(i, items[i]) for i in range(lo, hi)],
                     capture_errors,
                     time.monotonic(),
-                    envelope,
+                    context,
                 ): (lo, hi)
                 for lo, hi in _chunk_bounds(total, chunk_size)
             }
@@ -377,8 +359,13 @@ def run_with_timeout(
         finally:
             done.set()
 
+    # The thread runs in a copy of the caller's context, so spans the
+    # task opens nest under the caller's open span.
     thread = threading.Thread(
-        target=target, name=f"repro-timeout-{name}", daemon=True
+        target=contextvars.copy_context().run,
+        args=(target,),
+        name=f"repro-timeout-{name}",
+        daemon=True,
     )
     thread.start()
     if not done.wait(timeout):

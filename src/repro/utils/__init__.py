@@ -1,7 +1,6 @@
-"""Small shared utilities: seeded RNG plumbing, timers, table rendering."""
+"""Small shared utilities: seeded RNG plumbing and table rendering."""
 
-from repro.obs.timing import Timer
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.tables import format_table
 
-__all__ = ["ensure_rng", "spawn_rngs", "format_table", "Timer"]
+__all__ = ["ensure_rng", "spawn_rngs", "format_table"]

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import repro.parallel.executor as executor_module
 from repro.graph.asgraph import ASGraph
 from repro.graph.generators import (
     complete_graph,
@@ -102,3 +103,14 @@ def disconnected_pair() -> ASGraph:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def fresh_orphan_registry(monkeypatch):
+    """An empty timeout-orphan registry for this test.
+
+    Orphans that other tests abandon sleep for seconds and leave the
+    process-wide registry whenever they finish, so a count read across
+    them races; a test that counts orphans starts from its own list.
+    """
+    monkeypatch.setattr(executor_module, "_orphans", [])

@@ -1,8 +1,7 @@
-"""Trace collection tests: shard merge, clock skew, orphans, analysis."""
+"""Trace collection tests: reading traces, pool spans coming home, analysis."""
 
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,10 +9,6 @@ from repro.obs import Tracer, use_tracer
 from repro.obs.collect import (
     build_trees,
     critical_path,
-    discover_shards,
-    merge,
-    merge_into,
-    read_shard,
     read_trace,
     render_critical_path,
     render_flame,
@@ -38,94 +33,7 @@ def _span(span_id, name, *, trace=None, parent=None, start=0.0, dur=1.0,
     }
 
 
-class TestMerge:
-    def test_shard_starts_normalized_by_wall_epoch(self):
-        meta = {"type": "meta", "wall_epoch": 1000.0}
-        root = _span("a.1", "root", trace="T", start=5.0, dur=4.0)
-        shard = _span(
-            "b.1", "worker", trace="T", parent="a.1", start=0.5, dur=1.0
-        )
-        # The shard tracer's epoch is 6 wall-seconds after the root's.
-        shard["_wall_epoch"] = 1006.0
-        merged_meta, records = merge(meta, [root], [shard])
-        worker = next(r for r in records if r["name"] == "worker")
-        assert worker["start"] == pytest.approx(6.5)
-        assert merged_meta["merged_shard_records"] == 1
-        assert merged_meta["num_records"] == 2
-
-    def test_orphan_adopted_by_trace_root(self):
-        meta = {"type": "meta", "wall_epoch": 0.0}
-        root = _span("a.1", "root", trace="T", start=0.0, dur=10.0)
-        orphan = _span(
-            "b.7", "lost", trace="T", parent="b.6", start=1.0, dur=1.0
-        )
-        orphan["_wall_epoch"] = 0.0
-        merged_meta, records = merge(meta, [root], [orphan])
-        lost = next(r for r in records if r["name"] == "lost")
-        assert lost["parent"] == "a.1"
-        assert lost["attrs"]["adopted"] is True
-        assert merged_meta["adopted_orphans"] == 1
-
-    def test_rootless_trace_promotes_earliest_orphan(self):
-        meta = {"type": "meta", "wall_epoch": 0.0}
-        early = _span("b.2", "early", trace="T", parent="gone", start=1.0)
-        late = _span("b.3", "late", trace="T", parent="gone", start=2.0)
-        _, records = merge(meta, [], [dict(r, _wall_epoch=0.0)
-                                      for r in (early, late)])
-        by_name = {r["name"]: r for r in records}
-        assert by_name["early"]["parent"] is None
-        assert by_name["late"]["parent"] == "b.2"
-
-    def test_no_orphans_remain_after_merge(self):
-        meta = {"type": "meta", "wall_epoch": 0.0}
-        root = _span("a.1", "root", trace="T", start=0.0, dur=10.0)
-        shards = [
-            dict(
-                _span(f"b.{i}", f"w{i}", trace="T", parent=f"missing.{i}"),
-                _wall_epoch=0.0,
-            )
-            for i in range(5)
-        ]
-        _, records = merge(meta, [root], shards)
-        known = {r["id"] for r in records}
-        assert all(
-            r["parent"] is None or r["parent"] in known for r in records
-        )
-
-    def test_merge_into_rewrites_file(self, tmp_path):
-        tracer = Tracer(metadata={"test": True})
-        with tracer.span("root"):
-            pass
-        trace_path = tmp_path / "trace.jsonl"
-        tracer.export(trace_path)
-
-        worker = Tracer()
-        with worker.span("worker-chunk"):
-            pass
-        shard_dir = tmp_path / "shards"
-        worker.export_shard(shard_dir)
-
-        merged, adopted = merge_into(trace_path, shard_dir)
-        assert merged == 1
-        meta, records = read_trace(trace_path)
-        assert meta["num_records"] == len(records) == 2
-        assert {r["name"] for r in records} == {"root", "worker-chunk"}
-
-    def test_discover_shards_empty_dir(self, tmp_path):
-        assert discover_shards(tmp_path / "nope") == []
-
-    def test_read_shard_tracks_interleaved_clocks(self, tmp_path):
-        path = tmp_path / "shard-1.jsonl"
-        lines = [
-            json.dumps({"type": "clock", "prefix": "a", "wall_epoch": 10.0}),
-            json.dumps(_span("a.1", "one")),
-            json.dumps({"type": "clock", "prefix": "b", "wall_epoch": 20.0}),
-            json.dumps(_span("b.1", "two")),
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        records = read_shard(path)
-        assert [r["_wall_epoch"] for r in records] == [10.0, 20.0]
-
+class TestReadTrace:
     def test_schema1_integer_ids_normalized(self, tmp_path):
         path = tmp_path / "old.jsonl"
         old = {
@@ -143,38 +51,39 @@ class TestMerge:
 
 
 class TestMultiprocessRoundTrip:
-    def test_process_backend_spans_merge_into_complete_trace(self, tmp_path):
-        """Real end-to-end: a process pool's shards → merged trace."""
+    def test_process_backend_spans_merge_into_complete_trace(self):
+        """Real end-to-end: a process pool's spans come home in band."""
         from repro.parallel.executor import parallel_map
 
-        shard_dir = tmp_path / "shards"
-        tracer = Tracer(metadata={"test": "mp"}, shard_dir=shard_dir)
+        tracer = Tracer(metadata={"test": "mp"})
         with use_tracer(tracer):
             with tracer.span("driver"):
                 result = parallel_map(
                     _square, list(range(8)), workers=2, chunk_size=2,
                 )
         assert result.values() == [i * i for i in range(8)]
-        assert discover_shards(shard_dir), "workers wrote no shards"
-
-        trace_path = tmp_path / "trace.jsonl"
-        tracer.export(trace_path)
-        merge_into(trace_path, shard_dir)
-        _, records = read_trace(trace_path)
+        records = tracer.records
 
         known = {r["id"] for r in records}
         assert all(
             r["parent"] is None or r["parent"] in known for r in records
-        ), "merged trace has orphan spans"
+        ), "trace has orphan spans"
         names = [r["name"] for r in records]
         assert names.count("parallel.chunk") == 4
         assert names.count("parallel.task") == 8
         # Every chunk hangs off the parent's parallel.map span, which
-        # hangs off the driver span — one connected tree.
+        # hangs off the driver span — one connected tree — and lies
+        # inside the map span's window once moved onto its clock.
         trees = build_trees(records)
-        roots = [t for t in trees if t.record["parent"] is None]
-        assert len(roots) == 1
-        assert roots[0].name == "driver"
+        assert len(trees) == 1
+        assert trees[0].name == "driver"
+        (pool_map,) = [r for r in records if r["name"] == "parallel.map"]
+        for chunk in (r for r in records if r["name"] == "parallel.chunk"):
+            assert pool_map["start"] <= chunk["start"]
+            assert (
+                chunk["start"] + chunk["dur"]
+                <= pool_map["start"] + pool_map["dur"]
+            )
 
 
 class TestCriticalPath:

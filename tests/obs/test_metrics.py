@@ -7,6 +7,7 @@ import pytest
 from repro.obs import (
     MetricsRegistry,
     add_counter,
+    counter_moves,
     get_registry,
     metrics_disabled,
     metrics_enabled,
@@ -164,6 +165,14 @@ class TestModuleHelpers:
         fired = dict(iter_nonzero_counters())
         assert fired["test.nonzero.counter"] >= 2
         assert "test.zero.counter" not in fired
+
+    def test_counter_moves_hold_only_what_the_block_moved(self):
+        add_counter("test.moves.before", 5)
+        with counter_moves() as moved:
+            add_counter("test.moves.before", 2)
+            add_counter("test.moves.new", 3)
+            get_registry().counter("test.moves.idle")
+        assert moved == {"test.moves.before": 2, "test.moves.new": 3}
 
 
 class TestHistogramReservoir:

@@ -258,27 +258,19 @@ class TestAsyncioIsolation:
         assert all(r["parent"] == batch.span_id for r in leaves)
 
 
-class TestShardExport:
-    def test_export_shard_writes_clock_then_records(self, tmp_path):
+class TestAbsorb:
+    def test_start_shifts_by_wall_epoch_difference(self):
         tracer = Tracer()
-        with tracer.span("work"):
-            pass
-        path = tracer.export_shard(tmp_path)
-        lines = [json.loads(x) for x in path.read_text().splitlines()]
-        assert lines[0]["type"] == "clock"
-        assert lines[0]["wall_epoch"] == tracer.wall_epoch
-        assert lines[1]["type"] == "span"
-        assert lines[1]["name"] == "work"
-
-    def test_shard_appends_accumulate(self, tmp_path):
-        for _ in range(2):
-            tracer = Tracer()
-            with tracer.span("chunk"):
-                pass
-            path = tracer.export_shard(tmp_path)
-        lines = [json.loads(x) for x in path.read_text().splitlines()]
-        assert sum(1 for r in lines if r["type"] == "clock") == 2
-        assert sum(1 for r in lines if r["type"] == "span") == 2
+        record = {
+            "type": "span", "name": "worker", "id": "b.1", "trace": "T",
+            "parent": "a.1", "start": 0.5, "dur": 1.0, "attrs": {},
+        }
+        # The worker tracer's epoch is 6 wall-seconds after this one's.
+        tracer.absorb([record], tracer.wall_epoch + 6.0)
+        (absorbed,) = tracer.records
+        assert absorbed["start"] == pytest.approx(6.5)
+        assert absorbed["id"] == "b.1"
+        assert record["start"] == 0.5
 
     def test_ids_carry_process_unique_prefix(self):
         a, b = Tracer(), Tracer()

@@ -2,7 +2,8 @@
 
 The contract under test: a sweep's JSON payload does not depend on the
 worker count (``workers=1`` runs in the caller, ``WORKERS`` a process
-pool) or on whether results came from the cache or were computed cold.
+pool) or on whether results came from the cache or were computed cold,
+and the kernel counters it moves do not depend on the worker count.
 """
 
 import json
@@ -12,6 +13,7 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fig2 import fig2b_seed_sweep
 from repro.experiments.table5 import table5_budget_sweep
+from repro.obs import counter_moves
 from repro.resilience import replay_many
 from repro.resilience.faults import independent_crashes
 from tests import fixtures
@@ -21,6 +23,12 @@ WORKERS = 2
 CONFIG = ExperimentConfig(scale="tiny", seed=1, num_sources=150)
 SEEDS = [1, 2]
 BUDGETS = [5, 12]
+
+
+def _kernel_moves(sweep, **kwargs) -> dict:
+    with counter_moves() as moved:
+        sweep(CONFIG, **kwargs)
+    return {k: v for k, v in moved.items() if k.startswith("kernel.")}
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +47,15 @@ class TestFig2bSweep:
             CONFIG, seeds=SEEDS, budgets=BUDGETS, workers=WORKERS
         )
         assert parallel.to_json() == fig2b_serial.to_json()
+
+    def test_kernel_counters_match_serial(self):
+        serial = _kernel_moves(fig2b_seed_sweep, seeds=SEEDS, budgets=BUDGETS)
+        pooled = _kernel_moves(
+            fig2b_seed_sweep, seeds=SEEDS, budgets=BUDGETS, workers=WORKERS
+        )
+        cells = len(SEEDS) * len(BUDGETS)
+        assert serial["kernel.connectivity_curve.calls"] == cells
+        assert pooled == serial
 
     def test_cold_warm_bit_identity(self, fig2b_serial, tmp_path):
         cold = fig2b_seed_sweep(
@@ -73,6 +90,14 @@ class TestTable5Sweep:
             CONFIG, budgets=BUDGETS, top=5, workers=WORKERS
         )
         assert parallel.to_json() == table5_serial.to_json()
+
+    def test_kernel_counters_match_serial(self):
+        serial = _kernel_moves(table5_budget_sweep, budgets=BUDGETS, top=5)
+        pooled = _kernel_moves(
+            table5_budget_sweep, budgets=BUDGETS, top=5, workers=WORKERS
+        )
+        assert serial["kernel.saturated_connectivity.calls"] == len(BUDGETS)
+        assert pooled == serial
 
     def test_cold_warm_bit_identity(self, table5_serial, tmp_path):
         cold = table5_budget_sweep(CONFIG, budgets=BUDGETS, top=5, cache_dir=tmp_path)

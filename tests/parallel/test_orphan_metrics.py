@@ -12,7 +12,6 @@ import threading
 
 import pytest
 
-import repro.parallel.executor as executor_module
 from repro.exceptions import ExperimentTimeoutError
 from repro.obs import get_registry
 from repro.parallel.executor import (
@@ -22,10 +21,7 @@ from repro.parallel.executor import (
 )
 
 
-@pytest.fixture(autouse=True)
-def fresh_orphan_registry(monkeypatch):
-    """Isolate from orphans leaked by other test files (they sleep seconds)."""
-    monkeypatch.setattr(executor_module, "_orphans", [])
+pytestmark = pytest.mark.usefixtures("fresh_orphan_registry")
 
 
 @pytest.fixture()

@@ -1,9 +1,10 @@
 """Property-based tests (hypothesis) for the parallel/cache layer.
 
-Three equivalences the subsystem promises, probed over random inputs:
+Four equivalences the subsystem promises, probed over random inputs:
 
 * a process pool under :func:`parallel_map` reproduces the in-caller
   results, whatever the items, worker count, chunking, or seeds;
+* the counters its tasks move reach the caller's registry either way;
 * a cache hit returns exactly what the cold compute returned;
 * ``lazy_greedy_max_coverage`` matches ``greedy_max_coverage`` on random
   graphs (the lazy evaluation is an optimization, not a semantic change).
@@ -12,11 +13,13 @@ Three equivalences the subsystem promises, probed over random inputs:
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.greedy import greedy_max_coverage, lazy_greedy_max_coverage
 from repro.graph.asgraph import ASGraph
+from repro.obs import add_counter, counter_moves
 from repro.parallel.cache import ResultCache
 from repro.parallel.executor import parallel_map
 
@@ -48,6 +51,11 @@ def _double(x):
     return x * 2
 
 
+def _bump(x):
+    add_counter("test.parallel.bumped", x)
+    return x
+
+
 class TestBackendEquivalence:
     @given(
         items=st.lists(
@@ -65,6 +73,17 @@ class TestBackendEquivalence:
             _mix, items, workers=workers, chunk_size=chunk_size
         ).values()
         assert procs == serial
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @given(
+        items=st.lists(st.integers(1, 1000), min_size=1, max_size=8),
+        chunk_size=st.one_of(st.none(), st.integers(1, 7)),
+    )
+    @settings(max_examples=5, deadline=None)  # process pools are expensive
+    def test_counters_come_home(self, workers, items, chunk_size):
+        with counter_moves() as moved:
+            parallel_map(_bump, items, workers=workers, chunk_size=chunk_size)
+        assert moved["test.parallel.bumped"] == sum(items)
 
 
 class TestCacheEquivalence:

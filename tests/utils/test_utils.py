@@ -77,12 +77,6 @@ class TestTimer:
         with pytest.raises(RuntimeError):
             Timer().stop()
 
-    def test_package_export_is_the_obs_timer(self):
-        """``repro.utils.Timer`` aliases the canonical obs implementation."""
-        from repro.utils import Timer as UtilsTimer
-
-        assert UtilsTimer is Timer
-
     def test_metric_flushes_into_registry(self):
         from repro.obs import get_registry
 

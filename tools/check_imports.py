@@ -12,7 +12,7 @@ are the sanctioned lazy escape hatch and are ignored):
 The expected layer order (low imports high is the violation)::
 
     exceptions/types/_version (0)
-      < obs/utils (1)                 # utils.Timer aliases obs.timing
+      < obs/utils (1)
       < graph (2) < datasets (3) < core (4)
       < routing/economics/parallel (5)
       < resilience/simulation/serving (6)  # dynamics + query tier
