@@ -11,7 +11,9 @@ Two claims from the issue, each asserted (not just timed):
   any machine).
 
 Cache hit/miss counts are printed so the CI benchmark job can publish
-them next to the timings.
+them next to the timings.  Every call is timed with ``perf_counter``,
+so the asserts hold the same with ``--benchmark-disable``, where the
+benchmark fixture runs each call once and keeps no stats.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ def test_process_backend_speedup(benchmark, config, warm_graph):
     def parallel():
         return _sweep(config, workers=4)
 
+    t0 = time.perf_counter()
     result = benchmark.pedantic(parallel, rounds=1, iterations=1)
-    parallel_s = benchmark.stats.stats.total
+    parallel_s = time.perf_counter() - t0
     print(
         f"\nfig2b sweep ({len(SEEDS)} seeds): serial {serial_s:.2f}s, "
         f"process x4 {parallel_s:.2f}s ({serial_s / parallel_s:.1f}x)"
@@ -63,8 +66,9 @@ def test_warm_cache_speedup_and_bit_identity(benchmark, config, warm_graph, tmp_
     def warm_run():
         return _sweep(config, cache_dir=cache_dir)
 
+    t0 = time.perf_counter()
     warm = benchmark.pedantic(warm_run, rounds=1, iterations=1)
-    warm_s = benchmark.stats.stats.total
+    warm_s = time.perf_counter() - t0
     print(
         f"\nfig2b sweep ({len(SEEDS)} seeds): cold {cold_s:.2f}s "
         f"({cold.cache_misses} misses), warm {warm_s:.2f}s "

@@ -990,10 +990,12 @@ def _add_record_flags(p: argparse.ArgumentParser) -> None:
 def _maybe_trace(args: argparse.Namespace):
     """Install a recording tracer for the command when ``--trace-out`` is set.
 
-    The trace is exported even when the command fails, so a crashing run
-    still leaves its spans behind for debugging.  Process-pool workers
-    send their spans home with their results, so the file holds the
-    whole run.
+    One ``cli.<command>`` span wraps the command, so the trace has one
+    root and the critical path starts at the command's own wall time.
+    The trace is exported after that span closes, even when the command
+    fails, so a crashing run still leaves its spans behind for
+    debugging.  Process-pool workers send their spans home with their
+    results, so the file holds the whole run.
     """
     trace_out = getattr(args, "trace_out", None)
     if not trace_out:
@@ -1008,7 +1010,8 @@ def _maybe_trace(args: argparse.Namespace):
     })
     with use_tracer(tracer):
         try:
-            yield
+            with tracer.span(f"cli.{args.command}"):
+                yield
         finally:
             count = tracer.export(trace_out)
             print(

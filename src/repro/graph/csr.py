@@ -7,8 +7,10 @@ than on per-node Python loops.
 
 The graph searches here run in SciPy's C routines:
 
-* :func:`bfs_levels` — exact hop distances from one source (an
-  unweighted shortest-path search, optionally depth-limited);
+* :func:`bfs_rows` — exact hop distances from each of a few sources,
+  one int32 row per source (a breadth-first search each, optionally
+  depth-limited); :func:`bfs_levels` is its one-row form over a
+  :class:`CSRAdjacency`;
 * :func:`bfs_parents` — the first-discoverer predecessor of every
   vertex (Algorithm 2's stitching and the shortest-path helpers walk
   these);
@@ -204,6 +206,56 @@ def build_multi_csr(
     )
 
 
+def bfs_rows(
+    matrix: sparse.spmatrix,
+    sources,
+    *,
+    max_depth: int | None = None,
+) -> np.ndarray:
+    """Exact hop distances from each of ``sources``, one int32 row each.
+
+    ``rows[i, v]`` is the number of hops from ``sources[i]`` to ``v``, or
+    ``UNREACHABLE`` when ``v`` is not reached (within ``max_depth`` hops
+    if given; ``0`` reaches only the source).  Every stored entry
+    ``(u, v)`` of the square ``matrix`` is an arc ``u → v``, so an
+    undirected graph stores both directions.
+
+    Each row is one run of SciPy's C breadth-first search.  It searches
+    a float64 CSR without converting it; any other format or dtype is
+    converted once per call, not once per row.  The search is a FIFO
+    queue, so its visit order lists the levels back to back, and the
+    visit positions of the parents never decrease along it: each level
+    ends where the next level's parents start, found by a binary search.
+    """
+    matrix = matrix.tocsr().astype(np.float64, copy=False)
+    n = matrix.shape[0]
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    if len(sources) and not (0 <= sources.min() and sources.max() < n):
+        raise GraphValidationError(f"source out of range [0, {n})")
+    if max_depth is not None and max_depth < 0:
+        raise GraphValidationError(f"max_depth must be >= 0, got {max_depth}")
+    levels = np.inf if max_depth is None else max_depth + 1
+    rows = np.full((len(sources), n), UNREACHABLE, dtype=np.int32)
+    where = np.empty(n, dtype=np.int64)
+    for row, source in zip(rows, sources.tolist()):
+        order, parent = csgraph.breadth_first_order(
+            matrix, source, directed=True, return_predecessors=True
+        )
+        where[order] = np.arange(len(order))
+        parent_at = where[parent[order[1:]]]
+        ends = [1]
+        while ends[-1] < len(order) and len(ends) < levels:
+            ends.append(int(np.searchsorted(parent_at, ends[-1])) + 1)
+        row[order[: ends[-1]]] = np.repeat(
+            np.arange(len(ends), dtype=np.int32), np.diff(ends, prepend=0)
+        )
+    if _metrics.metrics_enabled():
+        _metrics.add_counter("kernel.bfs.runs", len(sources))
+        _metrics.add_counter("kernel.bfs.node_visits",
+                             int(np.count_nonzero(rows != UNREACHABLE)))
+    return rows
+
+
 def bfs_levels(
     adj: CSRAdjacency,
     source: int,
@@ -212,26 +264,14 @@ def bfs_levels(
 ) -> np.ndarray:
     """Exact hop distances from ``source`` (``UNREACHABLE`` if not reached).
 
-    SciPy's unweighted shortest-path search; ``max_depth`` stops it at
-    that many hops (``0`` reaches only the source).
+    The one-row :func:`bfs_rows` over ``adj``, as int64; ``max_depth``
+    stops it at that many hops (``0`` reaches only the source).
     """
     n = adj.num_vertices
     if not 0 <= source < n:
         raise GraphValidationError(f"source {source} out of range [0, {n})")
-    reach = csgraph.dijkstra(
-        adj.to_scipy(),
-        directed=True,
-        indices=source,
-        unweighted=True,
-        limit=np.inf if max_depth is None else max_depth,
-    )
-    reached = np.isfinite(reach)
-    dist = np.full(n, UNREACHABLE, dtype=np.int64)
-    dist[reached] = reach[reached]
-    if _metrics.metrics_enabled():
-        _metrics.add_counter("kernel.bfs.runs")
-        _metrics.add_counter("kernel.bfs.node_visits", int(np.count_nonzero(reached)))
-    return dist
+    rows = bfs_rows(adj.to_scipy(), [source], max_depth=max_depth)
+    return rows[0].astype(np.int64)
 
 
 def bfs_parents(adj: CSRAdjacency, source: int) -> np.ndarray:

@@ -82,8 +82,13 @@ class QueryAnswer:
 
 def edge_keys(src, dst) -> np.ndarray:
     """Sorted unique int64 keys of the undirected edges ``src[i]–dst[i]``."""
+    return np.unique(_keys(src, dst))
+
+
+def _keys(src, dst) -> np.ndarray:
+    """Unsorted int64 keys of the undirected edges ``src[i]–dst[i]``."""
     src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
-    return np.unique((np.minimum(src, dst) << KEY_SHIFT) | np.maximum(src, dst))
+    return (np.minimum(src, dst) << KEY_SHIFT) | np.maximum(src, dst)
 
 
 def key_endpoints(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,9 +107,15 @@ def adjacency_lists(n: int, keys: np.ndarray) -> list[list[int]]:
 
 
 def _snapshot(engine) -> tuple[int, np.ndarray, np.ndarray]:
-    """``(n, alive, dominated edge keys)`` of the engine's current state."""
+    """``(n, alive, dominated edge keys)`` of the engine's current state.
+
+    The engine's edge set is simple (``ASGraph.from_edges`` rejects
+    duplicates and ``add_link`` revives a cut edge instead of adding a
+    second one), so sorting its keys gives :func:`edge_keys`' array
+    without the cost of ``np.unique``.
+    """
     src, dst = engine.dominated_alive_edges()
-    return engine.num_nodes, engine.alive_view.copy(), edge_keys(src, dst)
+    return engine.num_nodes, engine.alive_view.copy(), np.sort(_keys(src, dst))
 
 
 class HubLabelIndex:

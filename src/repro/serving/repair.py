@@ -14,12 +14,26 @@ one past the largest rank ever assigned, so alive ranks stay distinct.
 **One repair path.**  ``sync()`` diffs the dominated edges as sorted
 int64 keys (removed E−, added E+, born and died vertices), then:
 
-1. finds the *affected hubs* A: every born or died vertex; every ``h``
-   from which a removed edge ``(a, b)`` is tight in the old graph,
-   ``d(h, b) = d(h, a) + 1``, with ``b`` alive after the delta; every
-   ``h`` from which an added edge is tight in the new graph with its
-   far end alive before.  Distances come from unweighted BFS from the
-   delta's endpoints (``scipy.sparse.csgraph``), in bounded chunks;
+1. finds the *affected hubs* A.  Every born or died vertex is in A.  A
+   hub ``h`` alive on both sides joins A when, at some delta edge
+   ``(x, y)`` (each edge is tested in both orientations):
+
+   - the edge was **removed**, is tight from ``h`` in the old graph,
+     ``d_old(h, y) = d_old(h, x) + 1``, with ``y`` alive after, and
+     ``d_new(h, y) ≠ d_old(h, y)``, or ``h ∉ L_old(x)`` and ``h``
+     outranks ``y``;
+   - the edge was **added**, is tight from ``h`` in the new graph with
+     ``y`` alive before, and ``d_old(h, y) ≠ d_new(h, y)``, or
+     ``h ∈ L(y)`` and ``h ∉ L(x)``.
+
+   Distances are BFS rows from every delta endpoint in both graphs
+   (:func:`repro.graph.csr.bfs_rows`, in bounded chunks; the graph is
+   undirected, so the row from ``y`` holds ``d(h, y)`` for every ``h``).
+   The repairer keeps the CSR of its current edges, so a sync builds one
+   graph, the new one.  The removed-edge test reads ``L_old(x)`` before
+   step 2 drops the labels of died vertices; the added-edge test runs
+   after step 2 has labeled born vertices, when ``L(y)`` of a ``y`` alive
+   before is still its old label;
 2. applies the delta to the neighbour lists, drops the labels of died
    vertices and labels each born ``x`` from the definition: a BFS from
    ``x`` carries ``m(v) = min(rank v, m(parents))`` down the levels and
@@ -27,17 +41,36 @@ int64 keys (removed E−, added E+, born and died vertices), then:
 3. re-sweeps each ``h`` in A, in rank order, deleting through the hub →
    vertex index the entries of ``h`` it no longer reaches (all if dead).
 
-*Why this is exact.*  Whether ``h ∈ L(v)`` depends only on the set of
-shortest ``h–v`` paths, which the delta changes only if an old shortest
-path crosses a removed element or a new one crosses an added element.
-Walking such a path from ``h`` toward ``v`` reaches a tight delta edge
-whose far end is alive on both sides (the edge out of the last born or
-died vertex on it, else the first delta edge) unless ``v`` itself was
-born or died, which step 2 covers.  So hubs outside A keep exactly their
-canonical entries.  A canonical ``L(h)`` holds only hubs that outrank
-``h``, so a re-sweep in rank order prunes only against labels already
-repaired and adds exactly the fresh build's entries for ``h``.  Any
-superset of A is exact too.
+*Why this is exact.*  Fix a hub ``h`` alive on both sides that no delta
+edge marks.  The entries of ``h`` are ``d(h, v)`` on the vertices ``v``
+with ``s(v) = [h ∈ L(v)] = 1``, where ``s(h) = 1`` and, for ``v ≠ h``,
+``s(v) = [h outranks v] ∧ (AND of s(p) over v's parents p)``, the
+neighbours of ``v`` one step closer to ``h``.  On the vertices alive on
+both sides:
+
+- *No distance from* ``h`` *changes.*  If ``d(h, v)`` dropped, a new
+  shortest ``h–v`` path uses an added edge (else it was an old path).
+  The last added edge ``(x, y)`` on it is tight in the new graph, and
+  the old edges after it keep ``y`` alive before.  As ``h`` is unmarked,
+  ``d_old(h, y) = d_new(h, y)``, so those old edges give
+  ``d_old(h, v) ≤ d_new(h, v)``.  Symmetrically, if ``d(h, v)`` grew,
+  the last removed edge on an old shortest path is tight in the old
+  graph with its far end alive after.
+- *No bit* ``s(v)`` *changes*, by induction on the BFS level from
+  ``h``.  With distances fixed, ``v`` gains a parent only across an
+  added tight edge and loses one only across a removed tight edge, with
+  ``v`` as the far end.  Losing a parent ``p`` can turn ``s(v)`` only
+  from 0 to 1, and only if ``s(p) = 0`` and ``h`` outranks ``v``: the
+  removed-edge flip.  Gaining ``p`` can turn it only from 1 to 0, and
+  only if ``s(p) = 0``: the added-edge flip, with ``s(p)`` read from the
+  new label if ``p`` was born.  The parents' bits, one level closer to
+  ``h``, are unchanged by induction.
+
+So the unmarked hubs keep exactly their canonical entries (born and
+died vertices are relabeled in step 2).  A canonical ``L(h)`` holds only
+hubs that outrank ``h``, so a re-sweep in rank order prunes only against
+labels already repaired and adds exactly the fresh build's entries for
+``h``.  Any superset of A is exact too.
 """
 
 from __future__ import annotations
@@ -46,15 +79,15 @@ from bisect import insort
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import shortest_path
 
+from repro.graph.csr import UNREACHABLE, bfs_rows
 from repro.obs import metrics as _metrics
-from repro.serving.labels import HubLabelIndex, _snapshot, key_endpoints
+from repro.serving.labels import KEY_SHIFT, HubLabelIndex, _snapshot, key_endpoints
 
 __all__ = ["LabelRepairer"]
 
-#: Delta edges per BFS block: at most ``2 * BFS_CHUNK`` distance rows
-#: of the universe are held at once.
+#: Delta edges per BFS block: at most ``4 * BFS_CHUNK`` distance rows
+#: of the universe (two endpoints, two graphs) are held at once.
 BFS_CHUNK = 16
 
 
@@ -65,6 +98,7 @@ class LabelRepairer:
         self._engine = engine
         self.index = index if index is not None else HubLabelIndex.build(engine)
         _, self._alive, self._keys = _snapshot(engine)
+        self._graph = _key_graph(self.index.n, self._keys)
         # Vertices dead now are unranked until their first birth.
         self._ranked = self.index.alive.copy()
         self._next_rank = int(self.index.rank[self._ranked].max(initial=-1)) + 1
@@ -103,11 +137,12 @@ class LabelRepairer:
         if n > index.n:
             index._extend(n)
             self._ranked = np.pad(self._ranked, (0, n - len(self._ranked)))
+            self._graph = _key_graph(n, self._keys)
         # A universe that shrinks (a rolled-back add_node) leaves its top
         # ids dead: the index never shrinks.
         alive = np.pad(alive, (0, index.n - len(alive)))
         old_alive = np.pad(self._alive, (0, index.n - len(self._alive)))
-        old_keys = self._keys
+        old_keys, old_graph = self._keys, self._graph
         removed = np.setdiff1d(old_keys, keys, assume_unique=True)
         added = np.setdiff1d(keys, old_keys, assume_unique=True)
         born = np.flatnonzero(alive & ~old_alive)
@@ -115,11 +150,14 @@ class LabelRepairer:
         self._alive, self._keys = alive, keys
         if not (len(removed) or len(added) or len(born) or len(died)):
             return False
+        self._graph = _key_graph(index.n, keys)
         affected = np.zeros(index.n, dtype=bool)
         affected[born] = affected[died] = True
-        _mark_tight(affected, old_keys, removed, alive)
-        _mark_tight(affected, keys, added, old_alive)
+        _mark(index, affected, removed, old_graph, self._graph, alive,
+              _parent_lost)
         self._apply(alive, removed, added, born, died)
+        _mark(index, affected, added, self._graph, old_graph, old_alive,
+              _parent_gained)
         hubs = np.flatnonzero(affected)
         for h in hubs[np.argsort(index.rank[hubs])].tolist():
             index._pruned_bfs(h)
@@ -154,26 +192,59 @@ class LabelRepairer:
             index._set_label(x, _canonical_label(adj, rank, x))
 
 
-def _mark_tight(affected: np.ndarray, keys: np.ndarray, delta: np.ndarray,
-                far_alive: np.ndarray) -> None:
-    """Flag every hub from which some ``delta`` edge is tight in the
-    graph of ``keys``, with its far end alive in ``far_alive``."""
-    if not len(delta):
-        return
-    n = len(affected)
-    lo, hi = key_endpoints(keys)
-    graph = sparse.csr_matrix(
-        (np.ones(len(keys), dtype=np.int8), (lo, hi)), shape=(n, n)
-    )
+def _mark(index: HubLabelIndex, affected: np.ndarray, delta: np.ndarray,
+          tight_in, other, far_alive: np.ndarray, flips) -> None:
+    """Flag every hub ``h`` from which a ``delta`` edge ``(x, y)`` is
+    tight in the graph ``tight_in``, with ``y`` alive in ``far_alive``,
+    where ``d(h, y)`` differs in the graph ``other`` or
+    ``flips(index, x, y)`` holds: step 1's test, run on both
+    orientations of every edge."""
     for start in range(0, len(delta), BFS_CHUNK):
         a, b = key_endpoints(delta[start:start + BFS_CHUNK])
-        sources, rows = np.unique(np.concatenate([a, b]), return_inverse=True)
-        dist = shortest_path(graph, directed=False, unweighted=True,
-                             indices=sources)
-        with np.errstate(invalid="ignore"):  # inf - inf: both unreachable
-            step = dist[rows[len(a):]] - dist[rows[: len(a)]]
-        affected |= ((step == 1) & far_alive[b][:, None]).any(axis=0)
-        affected |= ((step == -1) & far_alive[a][:, None]).any(axis=0)
+        ends, at = np.unique(np.concatenate([a, b]), return_inverse=True)
+        here, there = bfs_rows(tight_in, ends), bfs_rows(other, ends)
+        at_a, at_b = at[:len(a)], at[len(a):]
+        for x, y, at_x, at_y in ((a, b, at_a, at_b), (b, a, at_b, at_a)):
+            dx, dy = here[at_x], here[at_y]
+            tight = (dx != UNREACHABLE) & (dy == dx + 1) & far_alive[y][:, None]
+            if tight.any():
+                moved = there[at_y] != dy
+                affected |= (tight & (moved | flips(index, x, y))).any(axis=0)
+
+
+def _parent_lost(index: HubLabelIndex, x: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+    """Row ``i``: the hubs whose bit at ``y[i]`` can turn on when it
+    loses the parent ``x[i]``: ``h ∉ L_old(x)`` and ``h`` outranks ``y``."""
+    rank = index.rank
+    return ~_holding(index, x) & (rank < rank[y][:, None])
+
+
+def _parent_gained(index: HubLabelIndex, x: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+    """Row ``i``: the hubs whose bit at ``y[i]`` can turn off when it
+    gains the parent ``x[i]``: ``h ∈ L(y)`` and ``h ∉ L(x)``."""
+    return _holding(index, y) & ~_holding(index, x)
+
+
+def _holding(index: HubLabelIndex, vertices: np.ndarray) -> np.ndarray:
+    """Row ``i`` flags the hubs in the label of ``vertices[i]``."""
+    held = np.zeros((len(vertices), index.n), dtype=bool)
+    for row, v in zip(held, vertices.tolist()):
+        row[list(index.hub_dists[v])] = True
+    return held
+
+
+def _key_graph(n: int, keys: np.ndarray) -> sparse.csr_matrix:
+    """The undirected graph of ``keys`` on ``n`` vertices, as the float64
+    CSR that :func:`bfs_rows` searches without a copy."""
+    lo, hi = key_endpoints(keys)
+    arcs = np.sort(np.concatenate([keys, (hi << KEY_SHIFT) | lo]))
+    tail, head = key_endpoints(arcs)
+    indptr = np.searchsorted(tail, np.arange(n + 1)).astype(np.int32)
+    return sparse.csr_matrix(
+        (np.ones(len(arcs)), head.astype(np.int32), indptr), shape=(n, n)
+    )
 
 
 def _canonical_label(adj: list[list[int]], rank: list[int],

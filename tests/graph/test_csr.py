@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from repro.exceptions import GraphValidationError
 from repro.graph.bitset import bitset_hop_reach
 from repro.graph.csr import (
     UNREACHABLE,
     bfs_levels,
+    bfs_rows,
     bfs_parents,
     build_csr,
     connected_components,
@@ -104,6 +108,64 @@ class TestBFSLevels:
         for v in range(30):
             expected = nx_dist.get(v, UNREACHABLE)
             assert dist[v] == expected
+
+
+def _dijkstra_rows(matrix, sources, max_depth=None) -> np.ndarray:
+    """Hop distances by SciPy's unweighted Dijkstra, ``UNREACHABLE``-filled."""
+    dist = csgraph.dijkstra(
+        matrix, directed=True, unweighted=True, indices=sources,
+        limit=np.inf if max_depth is None else max_depth,
+    ).reshape(len(sources), -1)
+    return np.where(np.isfinite(dist), dist, UNREACHABLE).astype(np.int64)
+
+
+@st.composite
+def _graph_and_sources(draw):
+    n = draw(st.integers(1, 24))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=3 * n))
+    src, dst = (np.array([a[i] for a in arcs], dtype=np.int64) for i in (0, 1))
+    symmetric = draw(st.booleans())
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    return build_csr(n, src, dst, symmetric=symmetric), sources
+
+
+class TestBFSRows:
+    """The one hop-distance routine against SciPy's unweighted Dijkstra."""
+
+    @given(_graph_and_sources(), st.one_of(st.none(), st.integers(0, 4)))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_and_levels_match_dijkstra(self, case, max_depth):
+        adj, sources = case
+        expected = _dijkstra_rows(adj.to_scipy(), sources, max_depth)
+        rows = bfs_rows(adj.to_scipy(), sources, max_depth=max_depth)
+        assert rows.dtype == np.int32
+        np.testing.assert_array_equal(rows, expected)
+        for s, row in zip(sources, expected):
+            np.testing.assert_array_equal(
+                bfs_levels(adj, s, max_depth=max_depth), row
+            )
+
+    def test_isolated_and_dead_sources_reach_only_themselves(self):
+        # Vertex 3 has no edges (an isolated or dead vertex of the
+        # dominated graph); 0–1–2 is a path.
+        adj = build_csr(4, np.array([0, 1]), np.array([1, 2]))
+        rows = bfs_rows(adj.to_scipy(), [3, 0])
+        assert rows.tolist() == [[UNREACHABLE] * 3 + [0], [0, 1, 2, UNREACHABLE]]
+        np.testing.assert_array_equal(rows, _dijkstra_rows(adj.to_scipy(), [3, 0]))
+
+    def test_float64_csr_and_no_sources(self):
+        adj = _path_csr(4)
+        mat = adj.to_scipy().astype(np.float64)
+        assert bfs_rows(mat, [1]).tolist() == [[1, 0, 1, 2]]
+        assert bfs_rows(mat, []).shape == (0, 4)
+
+    def test_rejects_bad_source_and_depth(self):
+        mat = _path_csr(3).to_scipy()
+        with pytest.raises(GraphValidationError):
+            bfs_rows(mat, [3])
+        with pytest.raises(GraphValidationError):
+            bfs_rows(mat, [0], max_depth=-1)
 
 
 class TestBFSParents:

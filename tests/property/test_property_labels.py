@@ -16,7 +16,12 @@ structural promises that queries and repairs exploit:
 * fresh builds and every repair leave the labels **canonical** in the
   index's own rank order: ``h ∈ L(v)`` with value ``d(h, v)`` iff ``h``
   outranks every other vertex on every shortest ``h–v`` path — checked
-  against that definition directly, from all-pairs BFS.
+  against that definition directly, from all-pairs BFS;
+* a sync re-sweeps every hub whose canonical entries change on vertices
+  alive on both sides, and no hub outside the tight-only rule
+  (``tests/oracles/repair.py``) plus the born and died vertices;
+* the repairer's snapshot keys (sorted, not deduplicated) equal
+  ``edge_keys``' sorted unique keys in every engine state.
 """
 
 from __future__ import annotations
@@ -25,13 +30,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving.labels import HubLabelIndex
+from repro.serving.labels import HubLabelIndex, _snapshot, edge_keys
 from repro.serving.repair import LabelRepairer
+from tests.oracles.repair import tight_hubs
 from tests.serving.test_label_differential import (
     _apply_mutation,
     engines,
     naive_distances,
 )
+
+MUTATIONS = st.tuples(st.integers(0, 7), st.integers(0, 63), st.integers(0, 63))
 
 
 def canonical_labels(engine, rank) -> list[dict[int, int]]:
@@ -151,6 +159,58 @@ class TestRepairInvariants:
                 _apply_mutation(engine, op, a, b)
             repairer.sync()
             assert_canonical(repairer.index, engine)
+
+    @given(
+        engines(max_nodes=14),
+        st.lists(st.lists(MUTATIONS, min_size=1, max_size=4),
+                 min_size=1, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sync_sweeps_changed_hubs_within_the_tight_rule(self, engine,
+                                                            script):
+        repairer = LabelRepairer(engine)
+        index = repairer.index
+        swept: list[int] = []
+        sweep = index._pruned_bfs
+        index._pruned_bfs = lambda h: (swept.append(h), sweep(h))
+        for ops in script:
+            before = canonical_labels(engine, index.rank)
+            _, old_alive, old_keys = _snapshot(engine)
+            for op, a, b in ops:
+                _apply_mutation(engine, op, a, b)
+            swept.clear()
+            repairer.sync()
+            _, alive, keys = _snapshot(engine)
+            after = canonical_labels(engine, index.rank)
+            changed = {
+                h
+                for v in range(len(old_alive)) if old_alive[v] and alive[v]
+                for h in before[v].keys() | after[v].keys()
+                if before[v].get(h) != after[v].get(h)
+            }
+            assert changed <= set(swept), (
+                f"hubs {sorted(changed - set(swept))} changed unswept"
+            )
+            grow = index.n - len(old_alive), index.n - len(alive)
+            assert set(swept) <= tight_hubs(
+                old_keys, np.pad(old_alive, (0, grow[0])),
+                keys, np.pad(alive, (0, grow[1])),
+            )
+
+    @given(engines(max_nodes=16), st.lists(MUTATIONS, min_size=1, max_size=10))
+    @settings(max_examples=30, deadline=None)
+    def test_snapshot_keys_are_the_unique_edge_keys(self, engine, script):
+        def check():
+            _, _, keys = _snapshot(engine)
+            assert np.array_equal(keys, edge_keys(*engine.dominated_alive_edges()))
+            assert keys.dtype == np.int64
+
+        token = engine.checkpoint()
+        for op, a, b in script:
+            _apply_mutation(engine, op, a, b)
+            check()
+        engine.rollback(token)
+        check()
 
     @given(engines(max_nodes=20))
     @settings(max_examples=15, deadline=None)

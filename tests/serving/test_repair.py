@@ -9,7 +9,12 @@ current dominated subgraph in a rank order that never changes, so:
   hub, the leaf itself;
 * the index cache key (``engine_state_digest``) is a pure function of
   the dominated subgraph, pinned to its historical string, whatever
-  the engine's mutation history or the snapshot's representation.
+  the engine's mutation history or the snapshot's representation;
+* each clause of the affected-hub test is needed: each of the four
+  smallest cases below leaves non-canonical labels without its clause,
+  and a seeded churn of link flaps and node outages stays canonical
+  after every sync (a check only at the end misses a bad sync, because
+  a break and its heal cancel).
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from repro.core.engine import DominationEngine
 from repro.graph.asgraph import ASGraph
 from repro.obs.metrics import get_registry
 from repro.serving import LabelRepairer, build_index, engine_state_digest
+from repro.serving.labels import HubLabelIndex, _snapshot, adjacency_lists
 from tests import fixtures
+from tests.property.test_property_labels import assert_canonical
 
 
 def _tiny_engine() -> DominationEngine:
@@ -130,3 +137,94 @@ def test_rolled_back_add_node_leaves_a_dead_id():
     repairer.sync()
     assert repairer.index.rank[v] == rank
     assert repairer.index.verify()
+
+
+def _engine(n: int, edges, brokers) -> DominationEngine:
+    return DominationEngine(ASGraph.from_edges(n, edges), brokers)
+
+
+class TestEachClauseIsNeeded:
+    """The smallest case each clause of the affected-hub test decides.
+
+    Ranks are ``HubLabelIndex.build``'s (dominated degree, descending,
+    id as tie-break).
+    """
+
+    def test_removed_edge_distance(self):
+        # Ranks 0, 1, 2.  Cutting 0–1 drops hub 0 from L(1); only the
+        # distance clause sees it (0 ∈ L(0), so no flip).
+        engine = _engine(3, [(0, 1), (0, 2)], [0, 2])
+        repairer = LabelRepairer(engine)
+        assert engine.cut_link(0, 1)
+        assert repairer.sync()
+        assert_canonical(repairer.index, engine)
+
+    def test_removed_edge_flip(self):
+        # Ranks 0, 1, 2, 3.  Failing 0 leaves 3 one parent, 2, toward
+        # hub 1 (1 ∉ L(0) and 1 outranks 3): 1 joins L(3) at an
+        # unchanged distance, 2.
+        engine = _engine(4, [(0, 1), (0, 3), (1, 2), (2, 3)], [0, 2, 3])
+        repairer = LabelRepairer(engine)
+        assert engine.fail_node(0)
+        assert repairer.sync()
+        assert_canonical(repairer.index, engine)
+
+    def test_added_edge_distance(self):
+        # Ranks 2, 0, 1.  Isolated 0 joins through 1: hub 1 now reaches
+        # 0, and only the distance clause sees it (1 ∉ L(0), no flip).
+        engine = _engine(3, [(1, 2)], [1, 2])
+        repairer = LabelRepairer(engine)
+        assert engine.add_link(0, 1)
+        assert repairer.sync()
+        assert_canonical(repairer.index, engine)
+
+    def test_added_edge_flip(self):
+        # Ranks 0, 1, 2, 3.  Restoring 0 gives 2 a second parent, 0,
+        # toward hub 1, with 1 ∉ L(0): 1 leaves L(2) at an unchanged
+        # distance, 2.
+        engine = _engine(4, [(0, 1), (0, 2), (1, 3), (2, 3)], [1, 2, 3])
+        repairer = LabelRepairer(engine)
+        assert engine.fail_node(0)
+        assert repairer.sync()
+        assert_canonical(repairer.index, engine)
+        assert engine.restore_node(0)
+        assert repairer.sync()
+        assert_canonical(repairer.index, engine)
+
+
+def _rank_ordered_rebuild(engine, rank: np.ndarray) -> list[dict[int, int]]:
+    """Labels of a fresh pruned-landmark build in the given rank order."""
+    n, alive, keys = _snapshot(engine)
+    size = len(rank)
+    alive = np.pad(alive, (0, size - n))
+    index = HubLabelIndex(size, alive, adjacency_lists(size, keys), rank.copy())
+    roots = np.flatnonzero(alive)
+    for r in roots[np.argsort(rank[roots])].tolist():
+        index._pruned_bfs(r)
+    return index.hub_dists
+
+
+def test_churn_stays_canonical_after_every_sync():
+    """50 breaks, each healed: link flaps and node outages alternate,
+    drawn as the churn benchmark draws them (a dominated edge; a
+    non-broker with a dominated edge)."""
+    engine = _tiny_engine()
+    repairer = LabelRepairer(engine)
+    src, dst = engine.dominated_alive_edges()
+    ends = np.unique(np.concatenate([src, dst]))
+    plain = ends[~engine.broker_view[ends]]
+    rng = np.random.default_rng(3)
+    for i in range(50):
+        if i % 2 == 0:
+            e = int(rng.integers(len(src)))
+            target = (int(src[e]), int(dst[e]))
+            steps = (engine.cut_link, engine.restore_link)
+        else:
+            target = (int(plain[rng.integers(len(plain))]),)
+            steps = (engine.fail_node, engine.restore_node)
+        for step in steps:
+            assert step(*target)
+            assert repairer.sync()
+            assert repairer.index.hub_dists == _rank_ordered_rebuild(
+                engine, repairer.index.rank
+            ), f"break {i} ({step.__name__}{target}) left non-canonical labels"

@@ -236,6 +236,25 @@ class TestObservabilityCommands:
         assert "maxsg.round" in names
         assert "kernel.saturated_connectivity" in names
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "fig2b", "--seeds", "1", "2"],
+        ["experiment", "table1"],
+    ], ids=["sweep-fig2b", "experiment-table1"])
+    def test_traced_command_has_one_root(self, tmp_path, argv):
+        import json
+
+        trace = tmp_path / "trace.jsonl"
+        code = main([*argv, "--scale", "tiny", "--seed", "1",
+                     "--trace-out", str(trace)])
+        assert code == 0
+        lines = [json.loads(line) for line in trace.read_text().splitlines()]
+        meta, records = lines[0], lines[1:]
+        assert meta["num_records"] == len(records)
+        roots = [r for r in records if r["parent"] is None]
+        assert [r["name"] for r in roots] == [f"cli.{argv[0]}"]
+        known = {r["id"] for r in records}
+        assert all(r["parent"] is None or r["parent"] in known for r in records)
+
     def test_trace_subcommand(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         code = main([
